@@ -12,7 +12,10 @@ CandidateIndex::CandidateIndex(int num_resources, Chronon epoch_length)
       live_on_resource_(static_cast<std::size_t>(num_resources_)),
       live_count_(static_cast<std::size_t>(num_resources_), 0),
       in_play_(static_cast<std::size_t>(num_resources_), false),
-      deadline_heap_(static_cast<std::size_t>(num_resources_)) {}
+      deadline_heap_(static_cast<std::size_t>(num_resources_)),
+      stale_(static_cast<std::size_t>(num_resources_), 1),
+      cached_best_(static_cast<std::size_t>(num_resources_)),
+      merged_(static_cast<std::size_t>(num_resources_), 0) {}
 
 int CandidateIndex::AddEi(const ExecutionInterval& ei, int t_id,
                           int ei_index) {
@@ -41,13 +44,17 @@ void CandidateIndex::Activate(int flat_id) {
   }
 }
 
-void CandidateIndex::RemoveFromPlay(IndexedEi* flat) {
-  flat->dead = true;
-  if (!flat->active) return;
+void CandidateIndex::RemoveFromPlay(int flat_id) {
+  IndexedEi& flat = eis_[static_cast<std::size_t>(flat_id)];
+  flat.dead = true;
+  if (!flat.active) return;
   // The entry stays in its resource list until the next lazy compaction;
-  // only the exact counter is settled here.
-  --live_count_[static_cast<std::size_t>(flat->ei.resource)];
-  MaybeCompactHeap(flat->ei.resource);
+  // only the exact counter is settled here, and the resource's cached
+  // key goes stale if this EI held it.
+  const std::size_t r = static_cast<std::size_t>(flat.ei.resource);
+  --live_count_[r];
+  if (cached_best_[r].flat_id == flat_id) stale_[r] = 1;
+  MaybeCompactHeap(flat.ei.resource);
 }
 
 void CandidateIndex::MaybeCompactHeap(ResourceId resource) {
@@ -67,9 +74,8 @@ void CandidateIndex::MaybeCompactHeap(ResourceId resource) {
 }
 
 void CandidateIndex::Deactivate(int flat_id) {
-  IndexedEi& flat = eis_[static_cast<std::size_t>(flat_id)];
-  if (flat.dead) return;
-  RemoveFromPlay(&flat);
+  if (eis_[static_cast<std::size_t>(flat_id)].dead) return;
+  RemoveFromPlay(flat_id);
 }
 
 Chronon CandidateIndex::EarliestDeadline(ResourceId resource) const {
@@ -160,6 +166,26 @@ Status CandidateIndex::CheckInvariants() const {
           "counter says %d (corpse accounting broken)",
           r, heap_live, live_count_[static_cast<std::size_t>(r)]));
     }
+    // A fresh cached key must name a live EI inside the merged prefix
+    // of this resource's list (its death would have made it stale).
+    if (stale_[static_cast<std::size_t>(r)]) continue;
+    if (!cache_keys_) {
+      return Status::InvalidArgument(StringFormat(
+          "resource %d holds a fresh cached key with the cache off", r));
+    }
+    const std::size_t merged = merged_[static_cast<std::size_t>(r)];
+    const int best = cached_best_[static_cast<std::size_t>(r)].flat_id;
+    if (merged > bucket.size() ||
+        std::find(bucket.begin(),
+                  bucket.begin() + static_cast<std::ptrdiff_t>(merged),
+                  best) ==
+            bucket.begin() + static_cast<std::ptrdiff_t>(merged) ||
+        eis_[static_cast<std::size_t>(best)].dead) {
+      return Status::InvalidArgument(StringFormat(
+          "resource %d cached key names flat id %d, which is not a live "
+          "EI of its merged list prefix",
+          r, best));
+    }
   }
   // A resource flagged in play must actually sit on the active list.
   std::vector<uint8_t> on_active_list(
@@ -210,6 +236,18 @@ Status CandidateIndex::CheckInvariants() const {
     }
   }
   return Status::OK();
+}
+
+Status CandidateIndex::CacheMismatch(ResourceId resource,
+                                     int rescanned_flat_id) const {
+  const ResourceCandidate& cached =
+      cached_best_[static_cast<std::size_t>(resource)];
+  return Status::InvalidArgument(StringFormat(
+      "resource %d cached key (class %d, score %g, deadline %d, flat id "
+      "%d) differs from a rescan (best flat id %d): a stale trigger was "
+      "missed",
+      resource, cached.np_class, cached.score, cached.deadline,
+      cached.flat_id, rescanned_flat_id));
 }
 
 std::size_t CandidateIndex::SelectTopResources(

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -63,11 +64,35 @@ struct ResourceCandidate {
 /// candidates, which is what makes the indexed executor decision-
 /// identical to ReferenceExecutor (a differential test enforces this).
 ///
-/// Per-chronon cost: O(A) scoring for A live candidates (scores depend
-/// on `now`, so they cannot be cached across chronons for a black-box
-/// policy), plus O(R_active + C_j log C_j) selection, plus O(1)
-/// amortized per EI lifecycle event — against the reference path's
-/// O(total EIs + A log A) rebuild, re-sort and rescan.
+/// Key cache (set_cache_keys). A policy may declare that its Score()
+/// never reads `now` (Policy::ScoreIgnoresNow): a candidate's key is
+/// then a function of the EI and its parent's runtime state, and a
+/// resource's minimal key stays valid across chronons until one of the
+/// following *stale triggers* fires for the resource:
+///
+///  * the EI holding the cached best dies (expiry, capture, retirement
+///    of its parent, or a client cancel);
+///  * the resource is probed successfully (CaptureResource);
+///  * the parent of one of its live EIs changes — num_captured,
+///    selected, num_expired or profile_rank. The caller reports that
+///    with InvalidateRange() over the parent's flat ids;
+///  * the resource is suppressed by an open circuit (it is skipped as
+///    without the cache, and rescanned once the circuit closes);
+///  * corpses of dead non-best EIs outnumber the live ones (the list is
+///    then compacted by the rescan).
+///
+/// A stale resource is rescanned in full; a fresh one only scores the
+/// EIs activated on it since its last visit and merges them with a min.
+/// A fresh index starts with every resource stale, which is how
+/// restored monitors come back. Without the cache (the default, and
+/// for every policy that reads `now`) every live candidate is rescored
+/// each chronon.
+///
+/// Per-chronon cost: O(A) scoring for A live candidates without the
+/// cache, or O(arrivals + candidates of stale resources) with it, plus
+/// O(R_active + C_j log C_j) selection, plus O(1) amortized per EI
+/// lifecycle event — against the reference path's O(total EIs +
+/// A log A) rebuild, re-sort and rescan.
 class CandidateIndex {
  public:
   CandidateIndex(int num_resources, Chronon epoch_length);
@@ -77,6 +102,11 @@ class CandidateIndex {
   /// the executor front-loads the whole problem, DynamicMonitor calls
   /// this from Submit() (which forbids retroactive arrivals).
   int AddEi(const ExecutionInterval& ei, int t_id, int ei_index);
+
+  /// Enables the per-resource key cache (see the class comment). Only a
+  /// scorer whose keys do not depend on `now` may run with it on.
+  void set_cache_keys(bool on) { cache_keys_ = on; }
+  bool cache_keys() const { return cache_keys_; }
 
   std::size_t size() const { return eis_.size(); }
   const IndexedEi& at(int flat_id) const {
@@ -99,12 +129,14 @@ class CandidateIndex {
     }
   }
 
-  /// Scores every live candidate at `now` and reduces to one
-  /// ResourceCandidate per resource holding the minimal key. `scorer` is
-  /// a callable (const IndexedEi&) -> std::pair<int, double> returning
-  /// (np_class, score). Also lazily compacts the per-resource lists and
-  /// the active-resource list. Returns the number of candidates scored
-  /// (the executor's work measure).
+  /// Reduces the live candidates at `now` to one ResourceCandidate per
+  /// resource holding the minimal key, scoring what the key cache does
+  /// not already cover. `scorer` is a callable (const IndexedEi&) ->
+  /// std::pair<int, double> returning (np_class, score). Also lazily
+  /// compacts the per-resource lists and the active-resource list.
+  /// Returns the number of live candidates the selection ranged over
+  /// (the executor's work measure), whether or not the cache spared
+  /// their rescoring.
   template <typename Scorer>
   std::size_t CollectResourceCandidates(Chronon now, Scorer&& scorer,
                                         std::vector<ResourceCandidate>* out) {
@@ -131,8 +163,27 @@ class CandidateIndex {
     std::size_t keep = 0;
     for (std::size_t i = 0; i < active_resources_.size(); ++i) {
       ResourceId r = active_resources_[i];
-      auto& bucket = live_on_resource_[static_cast<std::size_t>(r)];
+      const std::size_t ri = static_cast<std::size_t>(r);
+      auto& bucket = live_on_resource_[ri];
       const bool skip = suppressed(r);
+      if (!skip && !stale_[ri] && !CorpseHeavy(r)) {
+        // Fresh cached key: merge the arrivals since the last visit.
+        ResourceCandidate& best = cached_best_[ri];
+        for (std::size_t read = merged_[ri]; read < bucket.size(); ++read) {
+          const int id = bucket[read];
+          const IndexedEi& flat = eis_[static_cast<std::size_t>(id)];
+          if (flat.dead) continue;
+          const auto [np_class, score] = scorer(flat);
+          if (Better(np_class, score, flat.ei.finish, id, best)) {
+            best = ResourceCandidate{r, id, np_class, score, flat.ei.finish};
+          }
+        }
+        merged_[ri] = bucket.size();
+        scored += static_cast<std::size_t>(live_count_[ri]);
+        active_resources_[keep++] = r;
+        out->push_back(best);
+        continue;
+      }
       std::size_t write = 0;
       ResourceCandidate best;
       bool have_best = false;
@@ -146,28 +197,26 @@ class CandidateIndex {
         bucket[write++] = id;
         if (skip) continue;
         const auto [np_class, score] = scorer(flat);
-        ++scored;
         if (!have_best ||
             Better(np_class, score, flat.ei.finish, id, best)) {
-          best.resource = r;
-          best.flat_id = id;
-          best.np_class = np_class;
-          best.score = score;
-          best.deadline = flat.ei.finish;
+          best = ResourceCandidate{r, id, np_class, score, flat.ei.finish};
           have_best = true;
         }
       }
       bucket.resize(write);
-      live_count_[static_cast<std::size_t>(r)] =
-          static_cast<int>(write);
+      live_count_[ri] = static_cast<int>(write);
+      merged_[ri] = write;
+      cached_best_[ri] = best;
+      stale_[ri] = !cache_keys_ || !have_best;
       if (write == 0) {
-        in_play_[static_cast<std::size_t>(r)] = false;
+        in_play_[ri] = false;
         continue;  // drop r from the active-resource list
       }
       active_resources_[keep++] = r;
       if (skip) {
         on_suppressed(r, static_cast<int>(write));
-      } else if (have_best) {
+      } else {
+        scored += write;
         out->push_back(best);
       }
     }
@@ -195,6 +244,7 @@ class CandidateIndex {
     capture_scratch_.clear();
     capture_scratch_.swap(bucket);
     live_count_[static_cast<std::size_t>(resource)] = 0;
+    stale_[static_cast<std::size_t>(resource)] = 1;
     // Detach first: a reentrant Deactivate() of an entry still in the
     // scratch list (a sibling on this same resource) must not touch the
     // already-zeroed counter.
@@ -249,6 +299,20 @@ class CandidateIndex {
     }
   }
 
+  /// Marks stale the cached key of every resource holding a live EI in
+  /// [first_flat, first_flat + num_eis) — the caller's report that the
+  /// parent owning that range changed in a way its score may read
+  /// (captures, selection, expiries, rank). O(num_eis); a no-op for
+  /// the keys of resources the range does not touch.
+  void InvalidateRange(int first_flat, int num_eis) {
+    for (int fid = first_flat; fid < first_flat + num_eis; ++fid) {
+      const IndexedEi& flat = eis_[static_cast<std::size_t>(fid)];
+      if (flat.active && !flat.dead) {
+        stale_[static_cast<std::size_t>(flat.ei.resource)] = 1;
+      }
+    }
+  }
+
   /// Expires the EIs whose window closes at `now`: each still-live one
   /// is removed from the index and reported to `on_expire` (a callable
   /// (int flat_id, const IndexedEi&)) for parent accounting, which may
@@ -277,7 +341,7 @@ class CandidateIndex {
   bool ExpireOne(int flat_id, OnExpire&& on_expire) {
     IndexedEi& flat = eis_[static_cast<std::size_t>(flat_id)];
     if (flat.dead) return false;
-    RemoveFromPlay(&flat);
+    RemoveFromPlay(flat_id);
     on_expire(flat_id, const_cast<const IndexedEi&>(flat));
     return true;
   }
@@ -332,9 +396,44 @@ class CandidateIndex {
   /// entries; non-dead entries are flagged active; every live EI
   /// appears in exactly one live-list slot and has a deadline-heap
   /// entry; a resource holding live candidates is on the active list;
-  /// and captured implies dead. Returns InvalidArgument naming the
-  /// first violated invariant.
+  /// captured implies dead; and a fresh cached key belongs to a live EI
+  /// of the resource's already-merged list prefix. Returns
+  /// InvalidArgument naming the first violated invariant.
   Status CheckInvariants() const;
+
+  /// CheckInvariants() plus the key-cache audit: every fresh cached key
+  /// must equal a rescan, with `scorer` (same contract as in
+  /// CollectResourceCandidates), of the live EIs it covers — the check
+  /// that no stale trigger was missed.
+  template <typename Scorer>
+  Status CheckInvariants(Scorer&& scorer) const {
+    PULLMON_RETURN_NOT_OK(CheckInvariants());
+    for (ResourceId r = 0; r < num_resources_; ++r) {
+      const std::size_t ri = static_cast<std::size_t>(r);
+      if (stale_[ri]) continue;
+      const auto& bucket = live_on_resource_[ri];
+      ResourceCandidate best;
+      bool have_best = false;
+      for (std::size_t read = 0; read < merged_[ri]; ++read) {
+        const int id = bucket[read];
+        const IndexedEi& flat = eis_[static_cast<std::size_t>(id)];
+        if (flat.dead) continue;
+        const auto [np_class, score] = scorer(flat);
+        if (!have_best ||
+            Better(np_class, score, flat.ei.finish, id, best)) {
+          best = ResourceCandidate{r, id, np_class, score, flat.ei.finish};
+          have_best = true;
+        }
+      }
+      const ResourceCandidate& cached = cached_best_[ri];
+      if (!have_best || best.flat_id != cached.flat_id ||
+          best.np_class != cached.np_class || best.score != cached.score ||
+          best.deadline != cached.deadline) {
+        return CacheMismatch(r, have_best ? best.flat_id : -1);
+      }
+    }
+    return Status::OK();
+  }
 
  private:
   static bool Better(int np_class, double score, Chronon deadline, int id,
@@ -347,7 +446,20 @@ class CandidateIndex {
 
   void Activate(int flat_id);
   /// Settles counters for an EI leaving play (expiry / deactivation).
-  void RemoveFromPlay(IndexedEi* flat);
+  void RemoveFromPlay(int flat_id);
+
+  /// True when dead entries in `resource`'s live list outnumber the
+  /// live ones past the compaction floor: a fresh cached key is then
+  /// rescanned anyway, so corpses never accumulate without bound.
+  bool CorpseHeavy(ResourceId resource) const {
+    const std::size_t ri = static_cast<std::size_t>(resource);
+    const std::size_t live = static_cast<std::size_t>(live_count_[ri]);
+    const std::size_t corpses = live_on_resource_[ri].size() - live;
+    return corpses > static_cast<std::size_t>(kHeapCompactionMinCorpses) &&
+           corpses > 2 * live;
+  }
+
+  Status CacheMismatch(ResourceId resource, int rescanned_flat_id) const;
 
   /// Rebuilds `resource`'s deadline heap without its corpses when dead
   /// entries dominate (> kHeapCompactionMinCorpses of them AND more
@@ -372,6 +484,14 @@ class CandidateIndex {
   /// Per-resource min-heaps of (deadline, flat id), cleaned lazily.
   mutable std::vector<std::vector<std::pair<Chronon, int>>> deadline_heap_;
   std::vector<int> capture_scratch_;
+  // --- Key cache (meaningful only where stale_ is 0). ---------------
+  bool cache_keys_ = false;
+  /// Per resource: no valid cached key (always 1 with the cache off).
+  std::vector<uint8_t> stale_;
+  /// Per resource: the minimal key over the merged list prefix.
+  std::vector<ResourceCandidate> cached_best_;
+  /// Per resource: live-list prefix already folded into cached_best_.
+  std::vector<std::size_t> merged_;
 };
 
 }  // namespace pullmon

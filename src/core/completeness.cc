@@ -3,18 +3,21 @@
 namespace pullmon {
 
 bool IsCaptured(const ExecutionInterval& ei, const Schedule& schedule) {
-  for (Chronon t = ei.start; t <= ei.finish; ++t) {
-    if (schedule.HasProbe(ei.resource, t)) return true;
-  }
-  return false;
+  return schedule.HasProbeWithin(ei.resource, ei.start, ei.finish);
 }
 
 bool IsCaptured(const TInterval& eta, const Schedule& schedule) {
   if (eta.empty()) return false;
   std::size_t captured = 0;
-  std::size_t required = eta.required();
+  const std::size_t required = eta.required();
+  std::size_t unseen = eta.size();
   for (const auto& ei : eta.eis()) {
-    if (IsCaptured(ei, schedule) && ++captured >= required) return true;
+    --unseen;
+    if (IsCaptured(ei, schedule)) {
+      if (++captured >= required) return true;
+    } else if (captured + unseen < required) {
+      return false;  // too few EIs left to reach `required`
+    }
   }
   return false;
 }

@@ -32,6 +32,7 @@ DynamicMonitor::DynamicMonitor(int num_resources, Chronon epoch_length,
       index_(num_resources, epoch_length) {
   policy_->Reset();
   policy_->AttachHealth(&health_);
+  index_.set_cache_keys(policy_->ScoreIgnoresNow());
 }
 
 ProfileId DynamicMonitor::RegisterProfile(std::string name) {
@@ -97,9 +98,13 @@ int DynamicMonitor::AppendSubmission(ProfileId profile,
   // Grow the profile's rank and refresh its existing runtimes so
   // rank-level policies see the new complexity.
   auto& rank = rank_of_profile_[static_cast<std::size_t>(profile)];
-  rank = std::max(rank, static_cast<int>(stored.size()));
-  for (int other : runtimes_of_profile_[static_cast<std::size_t>(profile)]) {
-    runtimes_[static_cast<std::size_t>(other)].profile_rank = rank;
+  if (static_cast<int>(stored.size()) > rank) {
+    rank = static_cast<int>(stored.size());
+    for (int other :
+         runtimes_of_profile_[static_cast<std::size_t>(profile)]) {
+      runtimes_[static_cast<std::size_t>(other)].profile_rank = rank;
+      InvalidateParent(other);
+    }
   }
   runtimes_of_profile_[static_cast<std::size_t>(profile)].push_back(t_id);
 
@@ -132,6 +137,22 @@ void DynamicMonitor::RetireParent(int t_id) {
                      parent.NumEis());
 }
 
+void DynamicMonitor::InvalidateParent(int t_id) {
+  const TIntervalRuntime& parent =
+      runtimes_[static_cast<std::size_t>(t_id)];
+  index_.InvalidateRange(first_flat_[static_cast<std::size_t>(t_id)],
+                         parent.NumEis());
+}
+
+std::pair<int, double> DynamicMonitor::SelectionKey(
+    const IndexedEi& flat) const {
+  const TIntervalRuntime& parent =
+      runtimes_[static_cast<std::size_t>(flat.t_id)];
+  const int np_class =
+      (mode_ == ExecutionMode::kNonPreemptive && !parent.selected) ? 1 : 0;
+  return {np_class, policy_->Score(flat.ei, parent, flat.ei_index, now_)};
+}
+
 void DynamicMonitor::RecomputeProfileRank(ProfileId profile) {
   auto& rank = rank_of_profile_[static_cast<std::size_t>(profile)];
   int exact = 0;
@@ -148,6 +169,7 @@ void DynamicMonitor::RecomputeProfileRank(ProfileId profile) {
   for (int other :
        runtimes_of_profile_[static_cast<std::size_t>(profile)]) {
     runtimes_[static_cast<std::size_t>(other)].profile_rank = rank;
+    InvalidateParent(other);
   }
 }
 
@@ -253,6 +275,7 @@ void DynamicMonitor::RebuildIndex() {
   // observable state (its lists may additionally carry dead entries
   // awaiting lazy compaction, which nothing observes).
   CandidateIndex fresh(num_resources_, epoch_length_);
+  fresh.set_cache_keys(index_.cache_keys());
   for (std::size_t t = 0; t < runtimes_.size(); ++t) {
     const TIntervalRuntime& rt = runtimes_[t];
     const bool parent_dead =
@@ -340,17 +363,7 @@ Result<StepResult> DynamicMonitor::Step() {
   // 2. Score the live candidates, one minimal key per resource;
   //    open-circuit resources are skipped and their budget flows on.
   std::size_t scored = index_.CollectResourceCandidates(
-      now_,
-      [&](const IndexedEi& flat) {
-        const TIntervalRuntime& parent =
-            runtimes_[static_cast<std::size_t>(flat.t_id)];
-        int np_class = (mode_ == ExecutionMode::kNonPreemptive &&
-                        !parent.selected)
-                           ? 1
-                           : 0;
-        return std::make_pair(
-            np_class, policy_->Score(flat.ei, parent, flat.ei_index, now_));
-      },
+      now_, [&](const IndexedEi& flat) { return SelectionKey(flat); },
       [&](ResourceId r) { return health_.IsSuppressed(r); },
       [&](ResourceId r, int live) { health_.NoteSuppressed(r, live); },
       &entries_);
@@ -419,6 +432,8 @@ Result<StepResult> DynamicMonitor::Step() {
           step.captured.emplace_back(
               parent.profile,
               submission_id_[static_cast<std::size_t>(hit.t_id)]);
+        } else {
+          InvalidateParent(hit.t_id);
         }
       });
     }
@@ -446,6 +461,8 @@ Result<StepResult> DynamicMonitor::Step() {
       step.failed.emplace_back(
           parent.profile,
           submission_id_[static_cast<std::size_t>(flat.t_id)]);
+    } else {
+      InvalidateParent(flat.t_id);
     }
   });
 
@@ -593,7 +610,8 @@ Status DynamicMonitor::Restore(const MonitorImage& image) {
 }
 
 Status DynamicMonitor::CheckInvariants() const {
-  PULLMON_RETURN_NOT_OK(index_.CheckInvariants());
+  PULLMON_RETURN_NOT_OK(index_.CheckInvariants(
+      [&](const IndexedEi& flat) { return SelectionKey(flat); }));
   for (std::size_t t = 0; t < runtimes_.size(); ++t) {
     const TIntervalRuntime& rt = runtimes_[t];
     int captured = 0;

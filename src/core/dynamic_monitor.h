@@ -278,6 +278,14 @@ class DynamicMonitor {
   /// from the candidate index.
   void RetireParent(int t_id);
 
+  /// Reports a change to a live parent's score inputs (captures,
+  /// expiries, rank) to the candidate index's key cache.
+  void InvalidateParent(int t_id);
+
+  /// (np_class, score) of a live candidate — the selection key the
+  /// index reduces per resource.
+  std::pair<int, double> SelectionKey(const IndexedEi& flat) const;
+
   /// Marks a live submission cancelled: orphan accounting, retire, rank
   /// recompute when the withdrawn submission carried the profile's
   /// maximum, and — under MonitorIndexMode::kRebuild — the from-scratch

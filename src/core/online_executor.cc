@@ -180,6 +180,7 @@ Result<OnlineRunResult> OnlineExecutor::RunIndexed() {
   std::vector<std::size_t> t_index_in_profile;  // parallel to runtimes
   std::vector<int> first_flat;  // first flat EI id of each runtime
   CandidateIndex index(problem_->num_resources, epoch_len);
+  index.set_cache_keys(policy_->ScoreIgnoresNow());
   for (ProfileId pid = 0;
        pid < static_cast<ProfileId>(problem_->profiles.size()); ++pid) {
     const Profile& p = problem_->profiles[static_cast<std::size_t>(pid)];
@@ -218,6 +219,14 @@ Result<OnlineRunResult> OnlineExecutor::RunIndexed() {
     index.RetireRange(first_flat[static_cast<std::size_t>(t_id)],
                       parent.NumEis());
   };
+  // A live parent's capture/expiry counters moved: the cached keys of
+  // the resources its EIs sit on may have changed.
+  auto invalidate_parent = [&](int t_id) {
+    const TIntervalRuntime& parent =
+        runtimes[static_cast<std::size_t>(t_id)];
+    index.InvalidateRange(first_flat[static_cast<std::size_t>(t_id)],
+                          parent.NumEis());
+  };
 
   std::vector<ResourceCandidate> entries;
 
@@ -234,9 +243,10 @@ Result<OnlineRunResult> OnlineExecutor::RunIndexed() {
 
     // 2. Score the live candidates, reduced to one minimal selection
     //    key per resource (candidate keys and resource keys select
-    //    identically; see CandidateIndex). Open-circuit resources are
-    //    skipped, so their would-be budget flows to the next-ranked
-    //    candidates automatically.
+    //    identically; see CandidateIndex); with a `now`-independent
+    //    policy only stale resources and arrivals are rescored.
+    //    Open-circuit resources are skipped, so their would-be budget
+    //    flows to the next-ranked candidates automatically.
     std::size_t scored = index.CollectResourceCandidates(
         now,
         [&](const IndexedEi& flat) {
@@ -325,6 +335,8 @@ Result<OnlineRunResult> OnlineExecutor::RunIndexed() {
                   t_index_in_profile[static_cast<std::size_t>(hit.t_id)],
                   now);
             }
+          } else {
+            invalidate_parent(hit.t_id);
           }
         });
       }
@@ -351,6 +363,8 @@ Result<OnlineRunResult> OnlineExecutor::RunIndexed() {
         if (fault_touched[static_cast<std::size_t>(flat.t_id)]) {
           ++result.t_intervals_lost_to_faults;
         }
+      } else {
+        invalidate_parent(flat.t_id);
       }
     });
   }

@@ -97,6 +97,7 @@ ParallelExecutor::ParallelExecutor(int num_resources, Chronon epoch_length,
   partitions_.reserve(shards);
   for (int s = 0; s < options_.shards; ++s) {
     partitions_.emplace_back(num_resources, epoch_length);
+    partitions_.back().set_cache_keys(policy_->ScoreIgnoresNow());
   }
   global_of_local_.resize(shards);
   shard_entries_.resize(shards);
@@ -174,9 +175,13 @@ int ParallelExecutor::AppendSubmission(ProfileId profile,
   int t_id = static_cast<int>(runtimes_.size());
 
   auto& rank = rank_of_profile_[static_cast<std::size_t>(profile)];
-  rank = std::max(rank, static_cast<int>(stored.size()));
-  for (int other : runtimes_of_profile_[static_cast<std::size_t>(profile)]) {
-    runtimes_[static_cast<std::size_t>(other)].profile_rank = rank;
+  if (static_cast<int>(stored.size()) > rank) {
+    rank = static_cast<int>(stored.size());
+    for (int other :
+         runtimes_of_profile_[static_cast<std::size_t>(profile)]) {
+      runtimes_[static_cast<std::size_t>(other)].profile_rank = rank;
+      InvalidateParent(other);
+    }
   }
   runtimes_of_profile_[static_cast<std::size_t>(profile)].push_back(t_id);
 
@@ -228,6 +233,23 @@ void ParallelExecutor::RetireParent(int t_id) {
   }
 }
 
+void ParallelExecutor::InvalidateParent(int t_id) {
+  for (const EiHandle& h :
+       handles_of_runtime_[static_cast<std::size_t>(t_id)]) {
+    partitions_[static_cast<std::size_t>(h.shard)].InvalidateRange(
+        h.local_id, 1);
+  }
+}
+
+std::pair<int, double> ParallelExecutor::SelectionKey(
+    const IndexedEi& flat) const {
+  const TIntervalRuntime& parent =
+      runtimes_[static_cast<std::size_t>(flat.t_id)];
+  const int np_class =
+      (mode_ == ExecutionMode::kNonPreemptive && !parent.selected) ? 1 : 0;
+  return {np_class, policy_->Score(flat.ei, parent, flat.ei_index, now_)};
+}
+
 void ParallelExecutor::RecomputeProfileRank(ProfileId profile) {
   auto& rank = rank_of_profile_[static_cast<std::size_t>(profile)];
   int exact = 0;
@@ -244,6 +266,7 @@ void ParallelExecutor::RecomputeProfileRank(ProfileId profile) {
   for (int other :
        runtimes_of_profile_[static_cast<std::size_t>(profile)]) {
     runtimes_[static_cast<std::size_t>(other)].profile_rank = rank;
+    InvalidateParent(other);
   }
 }
 
@@ -406,6 +429,8 @@ void ParallelExecutor::CaptureOnProbe(ResourceId resource,
               capture_callback_(parent.profile, submission, now_);
             }
           }
+        } else {
+          InvalidateParent(hit.t_id);
         }
       });
 }
@@ -502,18 +527,7 @@ Result<StepResult> ParallelExecutor::Step() {
     shard_suppressed_[si].clear();
     shard_scored_[si] =
         partitions_[si].CollectResourceCandidates(
-            now_,
-            [&](const IndexedEi& flat) {
-              const TIntervalRuntime& parent =
-                  runtimes_[static_cast<std::size_t>(flat.t_id)];
-              int np_class = (mode_ == ExecutionMode::kNonPreemptive &&
-                              !parent.selected)
-                                 ? 1
-                                 : 0;
-              return std::make_pair(
-                  np_class,
-                  policy_->Score(flat.ei, parent, flat.ei_index, now_));
-            },
+            now_, [&](const IndexedEi& flat) { return SelectionKey(flat); },
             [&](ResourceId r) { return health_.IsSuppressed(r); },
             [&](ResourceId r, int live) {
               shard_suppressed_[si].emplace_back(r, live);
@@ -661,6 +675,8 @@ Result<StepResult> ParallelExecutor::Step() {
       step.failed.emplace_back(
           parent.profile,
           submission_id_[static_cast<std::size_t>(flat.t_id)]);
+    } else {
+      InvalidateParent(flat.t_id);
     }
   };
   while (true) {
@@ -718,7 +734,8 @@ CompletenessReport ParallelExecutor::Completeness() const {
 
 Status ParallelExecutor::CheckInvariants() const {
   for (const CandidateIndex& partition : partitions_) {
-    PULLMON_RETURN_NOT_OK(partition.CheckInvariants());
+    PULLMON_RETURN_NOT_OK(partition.CheckInvariants(
+        [&](const IndexedEi& flat) { return SelectionKey(flat); }));
   }
   for (std::size_t t = 0; t < runtimes_.size(); ++t) {
     const TIntervalRuntime& rt = runtimes_[t];

@@ -236,6 +236,11 @@ class ParallelExecutor {
   Result<int> ResolveSubmission(ProfileId profile, int submission_id) const;
   int AppendSubmission(ProfileId profile, TInterval t_interval);
   void RetireParent(int t_id);
+  /// Reports a change to a live parent's score inputs to the key cache
+  /// of every partition holding one of its EIs.
+  void InvalidateParent(int t_id);
+  /// (np_class, score) of a live candidate (partition-independent).
+  std::pair<int, double> SelectionKey(const IndexedEi& flat) const;
   void CancelLive(int t_id);
   /// Recomputes `profile`'s rank as the maximum t-interval size over its
   /// non-cancelled submissions (same exact-rank contract as

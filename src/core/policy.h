@@ -98,6 +98,16 @@ class Policy {
                        const TIntervalRuntime& parent, int ei_index,
                        Chronon now) = 0;
 
+  /// True when Score() never reads `now` (nor the attached health
+  /// tracker, nor any state of its own): it is then a function of the
+  /// EI and of its parent's runtime fields alone, so a score computed in
+  /// one chronon stays valid until the parent changes. The candidate
+  /// index caches per-resource selection keys across chronons for such
+  /// policies (core/candidate_index.h); every other policy is rescored
+  /// in full each chronon. Declaring it falsely makes the indexed
+  /// executors diverge from ReferenceExecutor.
+  virtual bool ScoreIgnoresNow() const { return false; }
+
   /// Called by the executor before a run begins.
   virtual void Reset() {}
 

@@ -7,6 +7,7 @@
 namespace pullmon {
 
 const std::vector<ResourceId> Schedule::kEmpty = {};
+const std::vector<Chronon> Schedule::kNoChronons = {};
 
 BudgetVector BudgetVector::Uniform(int c, Chronon epoch_length) {
   BudgetVector b;
@@ -60,6 +61,13 @@ Status Schedule::AddProbe(ResourceId resource, Chronon t) {
   if (it != probes.end() && *it == resource) return Status::OK();
   probes.insert(it, resource);
   ++total_probes_;
+  if (static_cast<std::size_t>(resource) >= chronons_by_resource_.size()) {
+    chronons_by_resource_.resize(static_cast<std::size_t>(resource) + 1);
+  }
+  // Online executors probe in chronon order (an append); the offline
+  // solvers may add out of order.
+  auto& chronons = chronons_by_resource_[static_cast<std::size_t>(resource)];
+  chronons.insert(std::upper_bound(chronons.begin(), chronons.end(), t), t);
   return Status::OK();
 }
 
@@ -67,6 +75,22 @@ bool Schedule::HasProbe(ResourceId resource, Chronon t) const {
   if (t < 0 || t >= epoch_length_) return false;
   const auto& probes = probes_by_chronon_[static_cast<std::size_t>(t)];
   return std::binary_search(probes.begin(), probes.end(), resource);
+}
+
+bool Schedule::HasProbeWithin(ResourceId resource, Chronon first,
+                              Chronon last) const {
+  const auto& chronons = ProbeChrononsOf(resource);
+  auto it = std::lower_bound(chronons.begin(), chronons.end(), first);
+  return it != chronons.end() && *it <= last;
+}
+
+const std::vector<Chronon>& Schedule::ProbeChrononsOf(
+    ResourceId resource) const {
+  if (resource < 0 ||
+      static_cast<std::size_t>(resource) >= chronons_by_resource_.size()) {
+    return kNoChronons;
+  }
+  return chronons_by_resource_[static_cast<std::size_t>(resource)];
 }
 
 const std::vector<ResourceId>& Schedule::ProbesAt(Chronon t) const {

@@ -43,8 +43,9 @@ class BudgetVector {
 };
 
 /// A data delivery schedule S: the set of (resource, chronon) probes the
-/// proxy performs (Section 3.2). Stored sparsely: per-chronon sorted
-/// probe lists.
+/// proxy performs (Section 3.2). Stored sparsely, twice: per-chronon
+/// sorted resource lists and per-resource sorted chronon lists, so
+/// "was r probed anywhere in [a, b]" is one binary search.
 class Schedule {
  public:
   /// An empty schedule over an epoch of `epoch_length` chronons.
@@ -59,6 +60,14 @@ class Schedule {
 
   /// s_{i,j} == 1?
   bool HasProbe(ResourceId resource, Chronon t) const;
+
+  /// True iff `resource` is probed at some chronon in [first, last].
+  /// O(log probes of the resource).
+  bool HasProbeWithin(ResourceId resource, Chronon first,
+                      Chronon last) const;
+
+  /// Sorted chronons at which `resource` is probed (empty when never).
+  const std::vector<Chronon>& ProbeChrononsOf(ResourceId resource) const;
 
   /// Sorted resources probed at chronon t (empty outside the epoch).
   const std::vector<ResourceId>& ProbesAt(Chronon t) const;
@@ -76,7 +85,10 @@ class Schedule {
   Chronon epoch_length_;
   std::size_t total_probes_ = 0;
   std::vector<std::vector<ResourceId>> probes_by_chronon_;
+  /// Grown on demand to the largest probed resource id + 1.
+  std::vector<std::vector<Chronon>> chronons_by_resource_;
   static const std::vector<ResourceId> kEmpty;
+  static const std::vector<Chronon> kNoChronons;
 };
 
 }  // namespace pullmon

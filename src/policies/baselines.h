@@ -40,6 +40,7 @@ class FcfsPolicy : public Policy {
  public:
   std::string name() const override { return "FCFS"; }
   PolicyLevel level() const override { return PolicyLevel::kBaseline; }
+  bool ScoreIgnoresNow() const override { return true; }
 
   double Score(const ExecutionInterval& ei, const TIntervalRuntime& parent,
                int ei_index, Chronon now) override;

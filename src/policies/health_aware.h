@@ -36,6 +36,9 @@ class HealthAwarePolicy : public Policy {
 
   std::string name() const override { return "health:" + base_->name(); }
   PolicyLevel level() const override { return base_->level(); }
+  /// Never `now`-independent, whatever the base: the discount reads the
+  /// health tracker, which moves every chronon.
+  bool ScoreIgnoresNow() const override { return false; }
 
   double Score(const ExecutionInterval& ei, const TIntervalRuntime& parent,
                int ei_index, Chronon now) override;

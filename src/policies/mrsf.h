@@ -19,6 +19,7 @@ class MrsfPolicy : public Policy {
  public:
   std::string name() const override { return "MRSF"; }
   PolicyLevel level() const override { return PolicyLevel::kRank; }
+  bool ScoreIgnoresNow() const override { return true; }
 
   double Score(const ExecutionInterval& ei, const TIntervalRuntime& parent,
                int ei_index, Chronon now) override;

@@ -17,6 +17,7 @@ class UtilityMrsfPolicy : public Policy {
  public:
   std::string name() const override { return "U-MRSF"; }
   PolicyLevel level() const override { return PolicyLevel::kRank; }
+  bool ScoreIgnoresNow() const override { return true; }
 
   double Score(const ExecutionInterval& ei, const TIntervalRuntime& parent,
                int ei_index, Chronon now) override;
@@ -40,6 +41,7 @@ class LrsfPolicy : public Policy {
  public:
   std::string name() const override { return "LRSF"; }
   PolicyLevel level() const override { return PolicyLevel::kRank; }
+  bool ScoreIgnoresNow() const override { return true; }
 
   double Score(const ExecutionInterval& ei, const TIntervalRuntime& parent,
                int ei_index, Chronon now) override;

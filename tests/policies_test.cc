@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "core/resource_health.h"
 #include "policies/baselines.h"
+#include "policies/health_aware.h"
 #include "policies/m_edf.h"
 #include "policies/mrsf.h"
 #include "policies/policy_factory.h"
 #include "policies/s_edf.h"
+#include "util/random.h"
 
 namespace pullmon {
 namespace {
@@ -153,6 +159,87 @@ TEST(PolicyLevelToStringTest, AllNamed) {
   EXPECT_STREQ(PolicyLevelToString(PolicyLevel::kRank), "rank");
   EXPECT_STREQ(PolicyLevelToString(PolicyLevel::kMultiEi), "multi-EIs");
   EXPECT_STREQ(PolicyLevelToString(PolicyLevel::kBaseline), "baseline");
+}
+
+// Policy contract behind the candidate index's key cache: a policy that
+// declares ScoreIgnoresNow() must score a fixed (EI, parent state) the
+// same at every chronon and whatever the health tracker has seen. A
+// mis-declaring policy would make the cached executors silently diverge
+// from the reference path; this catches it at the policy.
+TEST(PolicyContractTest, NowIndependentPoliciesIgnoreNowAndHealth) {
+  constexpr int kResources = 4;
+  constexpr Chronon kEpoch = 40;
+  BreakerOptions breaker;
+  breaker.enabled = true;
+  int declaring = 0;
+  for (const std::string& name : KnownPolicyNames()) {
+    PolicyOptions options;
+    options.num_resources = kResources;
+    auto made = MakePolicy(name, options);
+    ASSERT_TRUE(made.ok()) << name;
+    Policy& policy = **made;
+    if (!policy.ScoreIgnoresNow()) continue;
+    ++declaring;
+    ResourceHealthTracker health(kResources, breaker);
+    policy.Reset();
+    policy.AttachHealth(&health);
+    Rng rng(0xC0FFEE);
+    for (int trial = 0; trial < 200; ++trial) {
+      TInterval eta;
+      const int rank = static_cast<int>(rng.NextInt(1, 4));
+      for (int i = 0; i < rank; ++i) {
+        const Chronon start =
+            static_cast<Chronon>(rng.NextInt(0, kEpoch - 1));
+        const Chronon finish = static_cast<Chronon>(
+            rng.NextInt(start, std::min<Chronon>(start + 9, kEpoch - 1)));
+        eta.AddEi(ExecutionInterval(
+            static_cast<ResourceId>(rng.NextInt(0, kResources - 1)), start,
+            finish));
+      }
+      eta.set_weight(0.25 * static_cast<double>(rng.NextInt(1, 16)));
+      TIntervalRuntime runtime;
+      runtime.profile = static_cast<ProfileId>(rng.NextInt(0, 3));
+      runtime.profile_rank = rank + static_cast<int>(rng.NextInt(0, 2));
+      runtime.source = &eta;
+      runtime.weight = eta.weight();
+      runtime.required = rank;
+      runtime.ei_captured.assign(eta.size(), 0);
+      for (std::size_t i = 0; i + 1 < eta.size(); ++i) {
+        if (rng.NextBool(0.4)) {
+          runtime.ei_captured[i] = 1;
+          ++runtime.num_captured;
+        }
+      }
+      runtime.selected = runtime.num_captured > 0;
+      const int idx = static_cast<int>(eta.size()) - 1;
+      const ExecutionInterval& ei = eta.eis()[static_cast<std::size_t>(idx)];
+      const double at_start = policy.Score(ei, runtime, idx, ei.start);
+      for (Chronon now : {Chronon{0}, ei.start, (ei.start + ei.finish) / 2,
+                          ei.finish, kEpoch - 1}) {
+        // Health moves between calls; a declaring policy must not see it.
+        health.RecordProbe(ei.resource, now, rng.NextBool(0.3));
+        health.BeginChronon(now);
+        EXPECT_EQ(policy.Score(ei, runtime, idx, now), at_start)
+            << name << " trial " << trial << " now " << now;
+      }
+    }
+  }
+  EXPECT_GE(declaring, 4);
+}
+
+TEST(PolicyContractTest, HealthWrapperNeverDeclaresNowIndependence) {
+  for (const std::string& name : KnownPolicyNames()) {
+    PolicyOptions options;
+    options.num_resources = 4;
+    const std::string wrapped =
+        name.rfind("health:", 0) == 0 ? name : "health:" + name;
+    auto policy = MakePolicy(wrapped, options);
+    ASSERT_TRUE(policy.ok()) << wrapped;
+    EXPECT_FALSE((*policy)->ScoreIgnoresNow()) << wrapped;
+  }
+  HealthAwarePolicy over_mrsf(std::make_unique<MrsfPolicy>());
+  EXPECT_TRUE(MrsfPolicy().ScoreIgnoresNow());
+  EXPECT_FALSE(over_mrsf.ScoreIgnoresNow());
 }
 
 }  // namespace

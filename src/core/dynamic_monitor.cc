@@ -26,7 +26,6 @@ DynamicMonitor::DynamicMonitor(int num_resources, Chronon epoch_length,
       policy_(policy),
       mode_(mode),
       options_(options),
-      churn_queue_(options.churn_queue_capacity),
       health_(num_resources, options.breaker),
       schedule_(epoch_length),
       index_(num_resources, epoch_length) {
@@ -86,13 +85,37 @@ Result<int> DynamicMonitor::Submit(ProfileId profile,
     }
   }
   ++stats_.submitted;
-  return AppendSubmission(profile, std::move(t_interval));
+  submitted_.push_back(std::move(t_interval));
+  return AppendSubmission(profile, &submitted_.back());
+}
+
+Status DynamicMonitor::LoadProblem(const MonitoringProblem& problem) {
+  if (!IsFresh()) {
+    return Status::FailedPrecondition(
+        "LoadProblem() requires a freshly constructed monitor");
+  }
+  if (problem.num_resources != num_resources_ ||
+      problem.epoch.length != epoch_length_) {
+    return Status::InvalidArgument(
+        "problem shape does not match the monitor's resources and epoch");
+  }
+  for (const Profile& p : problem.profiles) {
+    const ProfileId pid = RegisterProfile(p.name());
+    // The final rank up front, so no submission has to raise it and
+    // refresh its siblings.
+    rank_of_profile_[static_cast<std::size_t>(pid)] =
+        static_cast<int>(p.rank());
+    for (const TInterval& eta : p.t_intervals()) {
+      ++stats_.submitted;
+      AppendSubmission(pid, &eta);
+    }
+  }
+  return Status::OK();
 }
 
 int DynamicMonitor::AppendSubmission(ProfileId profile,
-                                     TInterval t_interval) {
-  submitted_.push_back(std::move(t_interval));
-  const TInterval& stored = submitted_.back();
+                                     const TInterval* t_interval) {
+  const TInterval& stored = *t_interval;
   int t_id = static_cast<int>(runtimes_.size());
 
   // Grow the profile's rank and refresh its existing runtimes so
@@ -261,7 +284,8 @@ Result<int> DynamicMonitor::Edit(ProfileId profile, int submission_id,
   }
   CancelLive(t_id);
   ++stats_.edited;
-  return AppendSubmission(profile, std::move(replacement));
+  submitted_.push_back(std::move(replacement));
+  return AppendSubmission(profile, &submitted_.back());
 }
 
 void DynamicMonitor::RebuildIndex() {
@@ -296,48 +320,6 @@ void DynamicMonitor::RebuildIndex() {
   index_ = std::move(fresh);
 }
 
-void DynamicMonitor::DrainChurnQueue() {
-  churn_queue_.Drain([&](ChurnOp& op) {
-    ChurnOutcome outcome;
-    outcome.kind = op.kind;
-    outcome.profile = op.profile;
-    switch (op.kind) {
-      case ChurnOp::Kind::kSubmit: {
-        Result<int> r = Submit(op.profile, std::move(op.t_interval));
-        if (r.ok()) {
-          outcome.result = r.value();
-        } else {
-          outcome.status = r.status();
-        }
-        break;
-      }
-      case ChurnOp::Kind::kCancel:
-        outcome.status = Cancel(op.profile, op.submission_id);
-        break;
-      case ChurnOp::Kind::kEdit: {
-        Result<int> r =
-            Edit(op.profile, op.submission_id, std::move(op.t_interval));
-        if (r.ok()) {
-          outcome.result = r.value();
-        } else {
-          outcome.status = r.status();
-        }
-        break;
-      }
-      case ChurnOp::Kind::kUnregister: {
-        Result<int> r = Unregister(op.profile);
-        if (r.ok()) {
-          outcome.result = r.value();
-        } else {
-          outcome.status = r.status();
-        }
-        break;
-      }
-    }
-    return outcome;
-  });
-}
-
 Result<StepResult> DynamicMonitor::Step() {
   if (!validated_options_) {
     PULLMON_RETURN_NOT_OK(options_.retry.Validate());
@@ -347,9 +329,6 @@ Result<StepResult> DynamicMonitor::Step() {
   if (now_ >= epoch_length_) {
     return Status::FailedPrecondition("the epoch is over");
   }
-  // 0. Apply churn that concurrent clients queued since the last
-  // chronon boundary (single consumer: this thread).
-  DrainChurnQueue();
   StepResult step;
   step.chronon = now_;
 
@@ -360,8 +339,12 @@ Result<StepResult> DynamicMonitor::Step() {
   // resource competes in this chronon's selection.
   health_.BeginChronon(now_);
 
-  // 2. Score the live candidates, one minimal key per resource;
-  //    open-circuit resources are skipped and their budget flows on.
+  // 2. Score the live candidates, reduced to one minimal selection key
+  //    per resource (candidate keys and resource keys select
+  //    identically; see CandidateIndex); with a `now`-independent policy
+  //    only stale resources and arrivals are rescored. Open-circuit
+  //    resources are skipped, so their budget flows to the next-ranked
+  //    candidates.
   std::size_t scored = index_.CollectResourceCandidates(
       now_, [&](const IndexedEi& flat) { return SelectionKey(flat); },
       [&](ResourceId r) { return health_.IsSuppressed(r); },
@@ -387,7 +370,10 @@ Result<StepResult> DynamicMonitor::Step() {
       if (!success) {
         ++stats_.probes_failed;
         // Same-chronon retries with exponential backoff, each charged
-        // one budget unit (identical to OnlineExecutor's probe path).
+        // one budget unit; abandoned when the accumulated wait would
+        // cross the chronon boundary, the budget runs dry, or the
+        // breaker opens the resource's circuit mid-loop (retrying a
+        // resource the breaker just gave up on wastes budget).
         double waited = 0.0;
         double backoff = options_.retry.backoff_base;
         for (int attempt = 0; attempt < options_.retry.max_retries &&
@@ -418,7 +404,8 @@ Result<StepResult> DynamicMonitor::Step() {
       step.probed.push_back(r);
       PULLMON_CHECK_OK(schedule_.AddProbe(r, now_));
 
-      // 4. Capture every live candidate on this resource.
+      // 4. The probe captures every live candidate on this resource; a
+      //    completed parent's other EIs leave the index at once.
       index_.CaptureResource(r, [&](int, const IndexedEi& hit) {
         TIntervalRuntime& parent =
             runtimes_[static_cast<std::size_t>(hit.t_id)];
@@ -429,20 +416,28 @@ Result<StepResult> DynamicMonitor::Step() {
           parent.completed = true;
           ++completed_;
           RetireParent(hit.t_id);
-          step.captured.emplace_back(
-              parent.profile,
-              submission_id_[static_cast<std::size_t>(hit.t_id)]);
+          const int submission =
+              submission_id_[static_cast<std::size_t>(hit.t_id)];
+          step.captured.emplace_back(parent.profile, submission);
+          if (capture_callback_) {
+            capture_callback_(parent.profile, submission, now_);
+          }
         } else {
           InvalidateParent(hit.t_id);
         }
       });
     }
+    // Reclaim accounting: at most probes_this_chronon of the budget units
+    // a suppressed resource would have taken actually flowed to other
+    // resources this chronon (an upper bound; see HealthStats).
     health_.NoteBudgetReclaimed(
         std::min(health_.SuppressedThisChronon(),
                  static_cast<std::size_t>(probes_this_chronon)));
   }
 
-  // 5. Expiry.
+  // 5. Expire EIs whose window ends now; the parent fails once too few
+  //    EIs remain alive to reach its required capture count (with the
+  //    all-required default, any uncaptured expiry fails it).
   index_.ExpireEnding(now_, [&](int, const IndexedEi& flat) {
     TIntervalRuntime& parent =
         runtimes_[static_cast<std::size_t>(flat.t_id)];
@@ -529,7 +524,7 @@ MonitorImage DynamicMonitor::Capture() const {
 }
 
 Status DynamicMonitor::Restore(const MonitorImage& image) {
-  if (now_ != 0 || !runtimes_.empty() || !profile_names_.empty()) {
+  if (!IsFresh()) {
     return Status::FailedPrecondition(
         "Restore() requires a freshly constructed monitor");
   }
@@ -569,7 +564,8 @@ Status DynamicMonitor::Restore(const MonitorImage& image) {
           "image capture flags do not match the definition's EI count");
     }
     int t_id = static_cast<int>(runtimes_.size());
-    AppendSubmission(sub.profile, sub.definition);
+    submitted_.push_back(sub.definition);
+    AppendSubmission(sub.profile, &submitted_.back());
     TIntervalRuntime& rt = runtimes_[static_cast<std::size_t>(t_id)];
     rt.ei_captured = sub.ei_captured;
     rt.num_captured = 0;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/candidate_index.h"
-#include "core/churn_queue.h"
 #include "core/completeness.h"
 #include "core/online_executor.h"
 #include "core/policy.h"
@@ -60,10 +59,6 @@ struct MonitorOptions {
   BreakerOptions breaker;
   /// Candidate-structure maintenance under churn.
   MonitorIndexMode maintenance = MonitorIndexMode::kIncremental;
-  /// Capacity of the thread-safe churn ingress queue (Enqueue* methods);
-  /// producers park (or TryEnqueue fails) once this many operations are
-  /// waiting for the next chronon boundary.
-  std::size_t churn_queue_capacity = 1024;
 };
 
 /// Deterministic counters of one monitor lifetime (mirrors the
@@ -127,20 +122,19 @@ struct MonitorImage {
   HealthImage health;
 };
 
-/// The truly online face of the library: clients subscribe, submit,
-/// cancel, and edit t-intervals *while the epoch runs* — Section 4.2.1's
-/// per-chronon arrivals extended with the full churn surface a deployed
-/// proxy serving volatile client populations needs. OnlineExecutor
-/// requires the whole workload up front and replays it; DynamicMonitor
-/// accepts mutations between steps.
+/// The serial implementation of the online semantics (Section 4.2.1):
+/// Step() is the one place the chronon step — reveal arrivals, score,
+/// probe the top C_j resources (retries, breaker), capture, expire — is
+/// written for a single thread. Clients subscribe, submit, cancel, and
+/// edit t-intervals *while the epoch runs*; a static workload is the
+/// special case where everything is loaded up front (LoadProblem), which
+/// is how OnlineExecutor's default backend drives it.
 ///
-/// Semantics are identical to OnlineExecutor (same candidate rules,
-/// probe sharing, preemption classes, retry/breaker behavior,
-/// deterministic tie-breaks) — a differential test asserts
-/// schedule-for-schedule equality when all t-intervals are submitted up
-/// front, and the churn differential suite asserts equality between the
-/// incremental index and the from-scratch rebuild oracle
-/// (MonitorIndexMode::kRebuild) under arbitrary churn.
+/// The executor differential suite asserts schedule-for-schedule
+/// equality with the scan-based ReferenceExecutor oracle, and the churn
+/// differential suite asserts equality between the incremental index
+/// and the from-scratch rebuild oracle (MonitorIndexMode::kRebuild)
+/// under arbitrary churn.
 ///
 /// Churn semantics (DESIGN.md section 13):
 ///  * Cancel(profile, submission) withdraws a live submission; its
@@ -167,6 +161,12 @@ class DynamicMonitor {
   /// Without a callback every probe succeeds (the logical setting).
   using ProbeCallback = std::function<bool(ResourceId, Chronon)>;
 
+  /// Invoked the moment a t-interval completes, inside the capturing
+  /// probe's bookkeeping: (profile, submission id, chronon). It fires in
+  /// StepResult::captured order, before the chronon's later probes run,
+  /// so a proxy reads the payload pulled so far.
+  using CaptureCallback = std::function<void(ProfileId, int, Chronon)>;
+
   /// `policy` must outlive the monitor; it is Reset() on construction.
   DynamicMonitor(int num_resources, Chronon epoch_length,
                  BudgetVector budget, Policy* policy, ExecutionMode mode,
@@ -175,6 +175,20 @@ class DynamicMonitor {
   void set_probe_callback(ProbeCallback callback) {
     probe_callback_ = std::move(callback);
   }
+
+  void set_capture_callback(CaptureCallback callback) {
+    capture_callback_ = std::move(callback);
+  }
+
+  /// Loads a whole static workload on a *fresh* monitor: registers every
+  /// profile and submits every t-interval in flattening order, so profile
+  /// ids and submission ids equal the problem's profile and t-interval
+  /// indices. The t-intervals are borrowed, not copied: `problem` must
+  /// outlive the monitor and must already have passed Validate().
+  /// FailedPrecondition on a monitor that has registered, submitted, or
+  /// stepped; InvalidArgument when the problem's shape disagrees with the
+  /// constructor parameters.
+  Status LoadProblem(const MonitoringProblem& problem);
 
   /// Registers a client profile; its rank grows as t-intervals are
   /// submitted (rank-level policies see the current rank).
@@ -201,25 +215,8 @@ class DynamicMonitor {
   Result<int> Edit(ProfileId profile, int submission_id,
                    TInterval replacement);
 
-  // --- Thread-safe churn ingress (DESIGN.md section 13, residual c). --
-  // Submit/Cancel/Edit/Unregister mutate the candidate structures and
-  // MUST be called from the monitor's own thread. Concurrent clients
-  // instead enqueue operations here from any thread; Step() drains the
-  // queue at the chronon boundary (FIFO, single consumer) and applies
-  // each operation through the synchronous entry points, delivering the
-  // per-op Status/submission-id to the operation's completion callback.
-
-  /// Blocking enqueue: parks while the queue is full.
-  void EnqueueChurn(ChurnOp op) { churn_queue_.Enqueue(std::move(op)); }
-  /// Non-blocking enqueue: false when the queue is full.
-  bool TryEnqueueChurn(ChurnOp op) {
-    return churn_queue_.TryEnqueue(std::move(op));
-  }
-  ChurnQueue& churn_queue() { return churn_queue_; }
-
   /// Executes the current chronon (probe selection, captures, expiry)
-  /// and advances time, applying queued churn operations first.
-  /// FailedPrecondition once the epoch is over.
+  /// and advances time. FailedPrecondition once the epoch is over.
   Result<StepResult> Step();
 
   /// Runs the remaining chronons; returns the final completeness.
@@ -270,9 +267,15 @@ class DynamicMonitor {
   /// Resolves (profile, submission) to a flat t_id, or InvalidArgument.
   Result<int> ResolveSubmission(ProfileId profile, int submission_id) const;
 
-  /// Records a pre-validated t-interval (shared tail of Submit and
-  /// Edit); returns the submission id within the profile.
-  int AppendSubmission(ProfileId profile, TInterval t_interval);
+  /// True until anything is registered, submitted, or stepped.
+  bool IsFresh() const {
+    return now_ == 0 && runtimes_.empty() && profile_names_.empty();
+  }
+
+  /// Records a pre-validated t-interval that outlives the monitor
+  /// (owned by `submitted_` or borrowed from a loaded problem); returns
+  /// the submission id within the profile.
+  int AppendSubmission(ProfileId profile, const TInterval* t_interval);
 
   /// Removes a dead (completed/failed/cancelled) parent's remaining EIs
   /// from the candidate index.
@@ -302,10 +305,6 @@ class DynamicMonitor {
   /// as if every surviving EI had been registered into a fresh index.
   void RebuildIndex();
 
-  /// Applies every queued churn operation (FIFO) through the
-  /// synchronous entry points; called at the top of Step().
-  void DrainChurnQueue();
-
   int num_resources_;
   Chronon epoch_length_;
   BudgetVector budget_;
@@ -313,7 +312,7 @@ class DynamicMonitor {
   ExecutionMode mode_;
   MonitorOptions options_;
   ProbeCallback probe_callback_;
-  ChurnQueue churn_queue_;
+  CaptureCallback capture_callback_;
   ResourceHealthTracker health_;
   bool validated_options_ = false;
 
@@ -323,7 +322,9 @@ class DynamicMonitor {
   std::size_t failed_ = 0;
   MonitorStats stats_;
 
-  /// Stable storage: TIntervalRuntime::source points into this deque.
+  /// Owned copies of t-intervals submitted one by one (Submit, Edit,
+  /// Restore); TIntervalRuntime::source points into this deque or into
+  /// a loaded problem.
   std::deque<TInterval> submitted_;
   std::vector<TIntervalRuntime> runtimes_;
   std::vector<uint8_t> cancelled_;   // per runtime: withdrawn by client
@@ -334,13 +335,50 @@ class DynamicMonitor {
   std::vector<std::vector<int>> runtimes_of_profile_;
   std::vector<std::string> profile_names_;
 
-  /// Incremental candidate structures shared with the indexed
-  /// OnlineExecutor (same selection contract, so the executor/monitor
-  /// differential test keeps holding).
   CandidateIndex index_;
   std::vector<int> first_flat_;  // first flat EI id per runtime
   std::vector<ResourceCandidate> entries_;  // per-chronon scratch
 };
+
+/// Copies a monitor's schedule and its capture, probe-path, health, and
+/// — for the sharded ParallelExecutor — shard counters into `run`: the
+/// one place MonitorStats/HealthStats/ShardRunStats become
+/// OnlineRunResult fields. Works on DynamicMonitor and ParallelExecutor
+/// alike (same accessor surface). Completeness and elapsed time are left
+/// to the caller, since they depend on what the run is scored against.
+template <typename Monitor>
+void CollectRunCounters(const Monitor& monitor, OnlineRunResult* run) {
+  const MonitorStats& ms = monitor.stats();
+  run->schedule = monitor.schedule();
+  run->probes_used = ms.probes_used;
+  run->t_intervals_completed = monitor.t_intervals_completed();
+  run->t_intervals_failed = monitor.t_intervals_failed();
+  run->candidates_scored = ms.candidates_scored;
+  run->max_concurrent_candidates = ms.max_concurrent_candidates;
+  run->probes_failed = ms.probes_failed;
+  run->retries_issued = ms.retries_issued;
+  run->retry_probes_spent = ms.retry_probes_spent;
+  run->t_intervals_lost_to_faults = ms.t_intervals_lost_to_faults;
+  const ResourceHealthTracker& health = monitor.health();
+  const HealthStats& hs = health.stats();
+  run->circuits_opened = hs.circuits_opened;
+  run->circuits_reopened = hs.circuits_reopened;
+  run->probation_probes = hs.probation_probes;
+  run->probation_successes = hs.probation_successes;
+  run->probes_suppressed = hs.probes_suppressed;
+  run->budget_reclaimed = hs.budget_reclaimed;
+  run->open_chronons_total = hs.open_chronons_total;
+  if (health.breaker_enabled()) {
+    run->open_chronons_by_resource = health.OpenChrononsByResource();
+  }
+  if constexpr (requires { monitor.shard_stats(); }) {
+    const auto& ss = monitor.shard_stats();
+    run->shard_count = static_cast<std::size_t>(ss.shard_count);
+    run->shard_candidates_scored = ss.candidates_scored;
+    run->shard_probes_executed = ss.probes_executed;
+    run->shard_merge_entries = ss.merge_entries;
+  }
+}
 
 }  // namespace pullmon
 

@@ -89,12 +89,13 @@ struct OnlineRunResult {
   std::size_t shard_merge_entries = 0;
 };
 
-/// Which implementation of the online semantics executes a run. Both are
-/// decision-identical (a differential test enforces it); they differ
-/// only in per-chronon cost.
+/// Which implementation of the online semantics executes a run. All are
+/// decision-identical (differential tests enforce it); they differ only
+/// in per-chronon cost.
 enum class ExecutorBackend {
-  /// Incremental candidate index with partial top-C_j selection
-  /// (core/candidate_index.h) — the default production path.
+  /// DynamicMonitor over the borrowed problem: incremental candidate
+  /// index with partial top-C_j selection (core/candidate_index.h) — the
+  /// default production path.
   kIndexed,
   /// Rebuild-and-fully-sort every chronon (core/reference_executor.h) —
   /// the easy-to-audit oracle.
@@ -123,11 +124,12 @@ const char* ExecutorBackendToString(ExecutorBackend backend);
 ///  * Ties are broken deterministically by (score, EI deadline,
 ///    t-interval arrival order, EI index).
 ///
-/// The hot path maintains the candidate set incrementally (bucketed
-/// arrival/expiry lists, per-resource live lists and counters) and
-/// selects the top-C_j resources by partial selection instead of
-/// sorting all candidates; set_backend(ExecutorBackend::kReference)
-/// switches to the scan-based oracle implementation.
+/// OnlineExecutor holds no chronon loop of its own: it is the static-
+/// workload driver over the monitors. The default backend loads the
+/// whole problem into a DynamicMonitor (by pointer — the t-intervals are
+/// borrowed, not copied) and steps it through the epoch; kParallel does
+/// the same over the sharded ParallelExecutor, and kReference runs the
+/// scan-based oracle (core/reference_executor.h).
 class OnlineExecutor {
  public:
   /// Invoked when a t-interval is fully captured: (profile, index of the
@@ -184,9 +186,6 @@ class OnlineExecutor {
   Result<OnlineRunResult> Run();
 
  private:
-  Result<OnlineRunResult> RunIndexed();
-  Result<OnlineRunResult> RunParallel();
-
   const MonitoringProblem* problem_;
   Policy* policy_;
   ExecutionMode mode_;

@@ -87,7 +87,6 @@ ParallelExecutor::ParallelExecutor(int num_resources, Chronon epoch_length,
       policy_(policy),
       mode_(mode),
       options_(options),
-      churn_queue_(options.churn_queue_capacity),
       health_(num_resources, options.breaker),
       shard_map_(options.shards),
       shard_of_resource_(shard_map_.AssignResources(num_resources)),
@@ -165,13 +164,35 @@ Result<int> ParallelExecutor::Submit(ProfileId profile,
     }
   }
   ++stats_.submitted;
-  return AppendSubmission(profile, std::move(t_interval));
+  submitted_.push_back(std::move(t_interval));
+  return AppendSubmission(profile, &submitted_.back());
+}
+
+Status ParallelExecutor::LoadProblem(const MonitoringProblem& problem) {
+  if (now_ != 0 || !runtimes_.empty() || !profile_names_.empty()) {
+    return Status::FailedPrecondition(
+        "LoadProblem() requires a freshly constructed executor");
+  }
+  if (problem.num_resources != num_resources_ ||
+      problem.epoch.length != epoch_length_) {
+    return Status::InvalidArgument(
+        "problem shape does not match the executor's resources and epoch");
+  }
+  for (const Profile& p : problem.profiles) {
+    const ProfileId pid = RegisterProfile(p.name());
+    rank_of_profile_[static_cast<std::size_t>(pid)] =
+        static_cast<int>(p.rank());
+    for (const TInterval& eta : p.t_intervals()) {
+      ++stats_.submitted;
+      AppendSubmission(pid, &eta);
+    }
+  }
+  return Status::OK();
 }
 
 int ParallelExecutor::AppendSubmission(ProfileId profile,
-                                       TInterval t_interval) {
-  submitted_.push_back(std::move(t_interval));
-  const TInterval& stored = submitted_.back();
+                                       const TInterval* t_interval) {
+  const TInterval& stored = *t_interval;
   int t_id = static_cast<int>(runtimes_.size());
 
   auto& rank = rank_of_profile_[static_cast<std::size_t>(profile)];
@@ -353,49 +374,8 @@ Result<int> ParallelExecutor::Edit(ProfileId profile, int submission_id,
   }
   CancelLive(t_id);
   ++stats_.edited;
-  return AppendSubmission(profile, std::move(replacement));
-}
-
-void ParallelExecutor::DrainChurnQueue() {
-  churn_queue_.Drain([&](ChurnOp& op) {
-    ChurnOutcome outcome;
-    outcome.kind = op.kind;
-    outcome.profile = op.profile;
-    switch (op.kind) {
-      case ChurnOp::Kind::kSubmit: {
-        Result<int> r = Submit(op.profile, std::move(op.t_interval));
-        if (r.ok()) {
-          outcome.result = r.value();
-        } else {
-          outcome.status = r.status();
-        }
-        break;
-      }
-      case ChurnOp::Kind::kCancel:
-        outcome.status = Cancel(op.profile, op.submission_id);
-        break;
-      case ChurnOp::Kind::kEdit: {
-        Result<int> r =
-            Edit(op.profile, op.submission_id, std::move(op.t_interval));
-        if (r.ok()) {
-          outcome.result = r.value();
-        } else {
-          outcome.status = r.status();
-        }
-        break;
-      }
-      case ChurnOp::Kind::kUnregister: {
-        Result<int> r = Unregister(op.profile);
-        if (r.ok()) {
-          outcome.result = r.value();
-        } else {
-          outcome.status = r.status();
-        }
-        break;
-      }
-    }
-    return outcome;
-  });
+  submitted_.push_back(std::move(replacement));
+  return AppendSubmission(profile, &submitted_.back());
 }
 
 void ParallelExecutor::CaptureOnProbe(ResourceId resource,
@@ -500,8 +480,6 @@ Result<StepResult> ParallelExecutor::Step() {
   if (now_ >= epoch_length_) {
     return Status::FailedPrecondition("the epoch is over");
   }
-  // 0. Apply churn queued by concurrent clients (single consumer).
-  DrainChurnQueue();
   StepResult step;
   step.chronon = now_;
   const int S = options_.shards;

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/candidate_index.h"
-#include "core/churn_queue.h"
 #include "core/completeness.h"
 #include "core/dynamic_monitor.h"
 #include "core/online_executor.h"
@@ -106,8 +105,6 @@ struct ParallelOptions {
   /// identical across thread counts, which is what makes the full
   /// report bit-identical at 1/2/4/8 threads.
   int shards = kDefaultShards;
-  /// Capacity of the thread-safe churn ingress queue.
-  std::size_t churn_queue_capacity = 1024;
 
   static constexpr int kDefaultShards = 16;
 };
@@ -132,7 +129,7 @@ struct ShardRunStats {
 /// (ShardMap — the same map a multi-proxy tier would use), each shard
 /// owns a CandidateIndex partition, and each chronon runs as
 ///
-///   churn drain -> [parallel] per-shard activation -> health begin
+///   [parallel] per-shard activation -> health begin
 ///   -> [parallel] per-shard scoring + shard-local top-k selection
 ///   -> serial ordered merge (two-phase: shard top-k, then an S-way
 ///      reduction under the global (np_class, score, deadline, flat id)
@@ -188,13 +185,8 @@ class ParallelExecutor {
   Result<int> Unregister(ProfileId profile);
   Result<int> Edit(ProfileId profile, int submission_id,
                    TInterval replacement);
-
-  /// Thread-safe churn ingress, drained at the top of Step().
-  void EnqueueChurn(ChurnOp op) { churn_queue_.Enqueue(std::move(op)); }
-  bool TryEnqueueChurn(ChurnOp op) {
-    return churn_queue_.TryEnqueue(std::move(op));
-  }
-  ChurnQueue& churn_queue() { return churn_queue_; }
+  /// Borrowing bulk load (identical contract to DynamicMonitor's).
+  Status LoadProblem(const MonitoringProblem& problem);
 
   /// Executes the current chronon through the sharded pipeline.
   Result<StepResult> Step();
@@ -234,7 +226,8 @@ class ParallelExecutor {
   }
 
   Result<int> ResolveSubmission(ProfileId profile, int submission_id) const;
-  int AppendSubmission(ProfileId profile, TInterval t_interval);
+  /// `t_interval` must outlive the executor (see DynamicMonitor).
+  int AppendSubmission(ProfileId profile, const TInterval* t_interval);
   void RetireParent(int t_id);
   /// Reports a change to a live parent's score inputs to the key cache
   /// of every partition holding one of its EIs.
@@ -246,7 +239,6 @@ class ParallelExecutor {
   /// non-cancelled submissions (same exact-rank contract as
   /// DynamicMonitor::RecomputeProfileRank).
   void RecomputeProfileRank(ProfileId profile);
-  void DrainChurnQueue();
 
   /// Serial capture bookkeeping of a successful probe of `resource`
   /// (parent accounting + retire + capture-event recording); capture
@@ -266,7 +258,6 @@ class ParallelExecutor {
   ProbeCallback probe_callback_;
   ParallelProbeHooks hooks_;
   CaptureCallback capture_callback_;
-  ChurnQueue churn_queue_;
   ResourceHealthTracker health_;
   bool validated_options_ = false;
 
@@ -295,6 +286,7 @@ class ParallelExecutor {
   MonitorStats stats_;
   ShardRunStats shard_stats_;
 
+  /// Owned copies of Submit/Edit t-intervals (loaded ones are borrowed).
   std::deque<TInterval> submitted_;
   std::vector<TIntervalRuntime> runtimes_;
   std::vector<uint8_t> cancelled_;

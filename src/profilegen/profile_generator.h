@@ -8,6 +8,7 @@
 #include "trace/update_trace.h"
 #include "util/random.h"
 #include "util/status.h"
+#include "util/zipf.h"
 
 namespace pullmon {
 
@@ -58,6 +59,12 @@ Result<std::vector<Profile>> GenerateProfiles(
 Result<std::vector<ResourceId>> DrawDistinctResources(int count, int n,
                                                       double alpha,
                                                       Rng* rng);
+
+/// Same draw from a prebuilt popularity distribution over n =
+/// popularity.n() resources; consumes `rng` exactly like the overload
+/// above, without rebuilding the O(n) table per call.
+Result<std::vector<ResourceId>> DrawDistinctResources(
+    int count, const ZipfDistribution& popularity, Rng* rng);
 
 }  // namespace pullmon
 

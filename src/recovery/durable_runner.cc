@@ -418,7 +418,7 @@ Result<ProxyRunReport> RunDurableOnce(const SimulationConfig& config,
 
   report.run.elapsed_seconds =
       std::chrono::duration<double>(run_end - run_start).count();
-  FinalizeChurnReport(monitor, config.breaker.enabled, &session, &report);
+  FinalizeChurnReport(monitor, &session, &report);
   return report;
 }
 

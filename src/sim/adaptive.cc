@@ -223,13 +223,12 @@ Status DriveAdaptiveEpoch(Monitor* monitor,
 /// predicted submissions, so its own capture accounting measures the
 /// forecasts, not the ground truth.
 template <typename Monitor>
-Status FinalizeAdaptiveReport(const Monitor& monitor, bool breaker_enabled,
+Status FinalizeAdaptiveReport(const Monitor& monitor,
                               const MonitoringProblem& problem,
                               const Schedule& explore_schedule,
                               std::size_t explore_issued,
                               FeedPullSession* session,
                               ProxyRunReport* report) {
-  const MonitorStats& ms = monitor.stats();
   Schedule combined(problem.epoch.length);
   for (Chronon t = 0; t < problem.epoch.length; ++t) {
     for (ResourceId r : monitor.schedule().ProbesAt(t)) {
@@ -239,48 +238,12 @@ Status FinalizeAdaptiveReport(const Monitor& monitor, bool breaker_enabled,
       PULLMON_RETURN_NOT_OK(combined.AddProbe(r, t));
     }
   }
+  CollectRunCounters(monitor, &report->run);
   report->run.schedule = combined;
   report->run.completeness =
       EvaluateCompleteness(problem.profiles, combined);
-  report->run.probes_used = ms.probes_used + explore_issued;
-  report->run.t_intervals_completed = monitor.t_intervals_completed();
-  report->run.t_intervals_failed = monitor.t_intervals_failed();
-  report->run.candidates_scored = ms.candidates_scored;
-  report->run.max_concurrent_candidates = ms.max_concurrent_candidates;
-  report->run.probes_failed = ms.probes_failed;
-  report->run.retries_issued = ms.retries_issued;
-  report->run.retry_probes_spent = ms.retry_probes_spent;
-  report->run.t_intervals_lost_to_faults = ms.t_intervals_lost_to_faults;
-  const HealthStats& hs = monitor.health().stats();
-  report->run.circuits_opened = hs.circuits_opened;
-  report->run.circuits_reopened = hs.circuits_reopened;
-  report->run.probation_probes = hs.probation_probes;
-  report->run.probation_successes = hs.probation_successes;
-  report->run.probes_suppressed = hs.probes_suppressed;
-  report->run.budget_reclaimed = hs.budget_reclaimed;
-  report->run.open_chronons_total = hs.open_chronons_total;
-  if (breaker_enabled) {
-    report->run.open_chronons_by_resource =
-        monitor.health().OpenChrononsByResource();
-  }
-  report->probes_failed = ms.probes_failed;
-  report->retries_issued = ms.retries_issued;
-  report->retry_probes_spent = ms.retry_probes_spent;
-  report->circuits_opened = report->run.circuits_opened;
-  report->circuits_reopened = report->run.circuits_reopened;
-  report->probation_probes = report->run.probation_probes;
-  report->probation_successes = report->run.probation_successes;
-  report->probes_suppressed = report->run.probes_suppressed;
-  report->budget_reclaimed = report->run.budget_reclaimed;
-  report->open_chronons_total = report->run.open_chronons_total;
-  report->open_chronons_by_resource =
-      report->run.open_chronons_by_resource;
-  const std::size_t total = report->run.completeness.total_t_intervals;
-  report->gc_lost_to_faults =
-      total == 0
-          ? 0.0
-          : static_cast<double>(report->run.t_intervals_lost_to_faults) /
-                static_cast<double>(total);
+  report->run.probes_used += explore_issued;
+  MirrorRunCounters(report);
   session->FinishReport();
   return Status::OK();
 }
@@ -420,17 +383,8 @@ Result<ProxyRunReport> RunAdaptiveOnce(const SimulationConfig& config,
                                       run_start)
             .count();
     PULLMON_RETURN_NOT_OK(FinalizeAdaptiveReport(
-        monitor, config.breaker.enabled, problem, explore_schedule,
-        explore_issued, &session, &report));
-    const ShardRunStats& ss = monitor.shard_stats();
-    report.run.shard_count = static_cast<std::size_t>(ss.shard_count);
-    report.run.shard_candidates_scored = ss.candidates_scored;
-    report.run.shard_probes_executed = ss.probes_executed;
-    report.run.shard_merge_entries = ss.merge_entries;
-    report.shard_count = report.run.shard_count;
-    report.shard_candidates_scored = report.run.shard_candidates_scored;
-    report.shard_probes_executed = report.run.shard_probes_executed;
-    report.shard_merge_entries = report.run.shard_merge_entries;
+        monitor, problem, explore_schedule, explore_issued, &session,
+        &report));
   } else {
     MonitorOptions mo;
     mo.retry = config.retry;
@@ -452,8 +406,8 @@ Result<ProxyRunReport> RunAdaptiveOnce(const SimulationConfig& config,
                                       run_start)
             .count();
     PULLMON_RETURN_NOT_OK(FinalizeAdaptiveReport(
-        monitor, config.breaker.enabled, problem, explore_schedule,
-        explore_issued, &session, &report));
+        monitor, problem, explore_schedule, explore_issued, &session,
+        &report));
   }
 
   const EstimationStats& es = model.stats();

@@ -104,55 +104,17 @@ namespace {
 /// arms: DynamicMonitor and ParallelExecutor expose the identical
 /// accessor surface, so one template covers both.
 template <typename Monitor>
-void FinalizeChurnReportImpl(const Monitor& monitor, bool breaker_enabled,
+void FinalizeChurnReportImpl(const Monitor& monitor,
                              FeedPullSession* session,
                              ProxyRunReport* report) {
-  const MonitorStats& ms = monitor.stats();
-  report->run.schedule = monitor.schedule();
+  CollectRunCounters(monitor, &report->run);
   report->run.completeness = monitor.Completeness();
-  report->run.probes_used = ms.probes_used;
-  report->run.t_intervals_completed = monitor.t_intervals_completed();
-  report->run.t_intervals_failed = monitor.t_intervals_failed();
-  report->run.candidates_scored = ms.candidates_scored;
-  report->run.max_concurrent_candidates = ms.max_concurrent_candidates;
-  report->run.probes_failed = ms.probes_failed;
-  report->run.retries_issued = ms.retries_issued;
-  report->run.retry_probes_spent = ms.retry_probes_spent;
-  report->run.t_intervals_lost_to_faults = ms.t_intervals_lost_to_faults;
-  const HealthStats& hs = monitor.health().stats();
-  report->run.circuits_opened = hs.circuits_opened;
-  report->run.circuits_reopened = hs.circuits_reopened;
-  report->run.probation_probes = hs.probation_probes;
-  report->run.probation_successes = hs.probation_successes;
-  report->run.probes_suppressed = hs.probes_suppressed;
-  report->run.budget_reclaimed = hs.budget_reclaimed;
-  report->run.open_chronons_total = hs.open_chronons_total;
-  if (breaker_enabled) {
-    report->run.open_chronons_by_resource =
-        monitor.health().OpenChrononsByResource();
-  }
   // The monitor's own capture accounting must agree with the
   // schedule-based evaluation (cancelled submissions excluded).
   PULLMON_CHECK(report->run.completeness.captured_t_intervals ==
                 monitor.t_intervals_completed());
-
-  report->probes_failed = ms.probes_failed;
-  report->retries_issued = ms.retries_issued;
-  report->retry_probes_spent = ms.retry_probes_spent;
-  report->circuits_opened = report->run.circuits_opened;
-  report->circuits_reopened = report->run.circuits_reopened;
-  report->probation_probes = report->run.probation_probes;
-  report->probation_successes = report->run.probation_successes;
-  report->probes_suppressed = report->run.probes_suppressed;
-  report->budget_reclaimed = report->run.budget_reclaimed;
-  report->open_chronons_total = report->run.open_chronons_total;
-  report->open_chronons_by_resource = report->run.open_chronons_by_resource;
-  std::size_t total = report->run.completeness.total_t_intervals;
-  report->gc_lost_to_faults =
-      total == 0
-          ? 0.0
-          : static_cast<double>(report->run.t_intervals_lost_to_faults) /
-                static_cast<double>(total);
+  MirrorRunCounters(report);
+  const MonitorStats& ms = monitor.stats();
   report->churn_submitted = ms.submitted;
   report->churn_cancelled = ms.cancelled;
   report->churn_edited = ms.edited;
@@ -164,12 +126,9 @@ void FinalizeChurnReportImpl(const Monitor& monitor, bool breaker_enabled,
 /// Registers every profile, buckets arrivals, generates the churn
 /// stream, and drives the monitor chronon by chronon — the epoch loop
 /// shared verbatim by both executor backends. Churn operations apply
-/// synchronously in both arms: the workload's pick-resolution
-/// (`pick % live submission count`) depends on every earlier operation
-/// of the same chronon having landed, so the parallel arm calls the
-/// executor's churn surface directly rather than through its ingress
-/// queue (the queue's drain-at-Step semantics are covered by the
-/// dedicated thread-invariance and queue suites).
+/// synchronously: the workload's pick-resolution (`pick % live
+/// submission count`) depends on every earlier operation of the same
+/// chronon having landed.
 template <typename Monitor>
 Status DriveChurnEpoch(Monitor* monitor, const MonitoringProblem& problem,
                        const SimulationConfig& config, uint64_t seed,
@@ -263,9 +222,9 @@ Status DriveChurnEpoch(Monitor* monitor, const MonitoringProblem& problem,
 
 }  // namespace
 
-void FinalizeChurnReport(const DynamicMonitor& monitor, bool breaker_enabled,
+void FinalizeChurnReport(const DynamicMonitor& monitor,
                          FeedPullSession* session, ProxyRunReport* report) {
-  FinalizeChurnReportImpl(monitor, breaker_enabled, session, report);
+  FinalizeChurnReportImpl(monitor, session, report);
 }
 
 Result<ProxyRunReport> RunChurnOnce(const SimulationConfig& config,
@@ -311,38 +270,14 @@ Result<ProxyRunReport> RunChurnOnce(const SimulationConfig& config,
     opts.threads = config.threads;
     ParallelExecutor monitor(problem.num_resources, problem.epoch.length,
                              problem.budget, policy.get(), spec.mode, opts);
-    monitor.set_probe_callback([&](ResourceId resource, Chronon now) {
-      return session.Probe(resource, now);
-    });
-    ParallelProbeHooks hooks;
-    hooks.begin_chronon = [&session](Chronon, int num_workers) {
-      session.BeginParallelChronon(num_workers);
-    };
-    hooks.decide = [&session](ResourceId resource, Chronon now, int token) {
-      return session.DecideAttempt(resource, now, token);
-    };
-    hooks.execute = [&session](const std::vector<int>& tokens, int worker) {
-      for (int token : tokens) session.ExecuteAttempt(token, worker);
-    };
-    hooks.commit = [&session](int token) { session.CommitAttempt(token); };
-    monitor.set_probe_hooks(std::move(hooks));
+    monitor.set_probe_hooks(session.ParallelHooks());
     PULLMON_RETURN_NOT_OK(
         DriveChurnEpoch(&monitor, problem, config, seed, &report));
     report.run.elapsed_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       run_start)
             .count();
-    FinalizeChurnReportImpl(monitor, config.breaker.enabled, &session,
-                            &report);
-    const ShardRunStats& ss = monitor.shard_stats();
-    report.run.shard_count = static_cast<std::size_t>(ss.shard_count);
-    report.run.shard_candidates_scored = ss.candidates_scored;
-    report.run.shard_probes_executed = ss.probes_executed;
-    report.run.shard_merge_entries = ss.merge_entries;
-    report.shard_count = report.run.shard_count;
-    report.shard_candidates_scored = report.run.shard_candidates_scored;
-    report.shard_probes_executed = report.run.shard_probes_executed;
-    report.shard_merge_entries = report.run.shard_merge_entries;
+    FinalizeChurnReportImpl(monitor, &session, &report);
     return report;
   }
 
@@ -369,7 +304,7 @@ Result<ProxyRunReport> RunChurnOnce(const SimulationConfig& config,
   // Mirror the scheduling/fault/health/churn telemetry the way
   // MonitoringProxy::Run does, so churn and proxy reports compare
   // field-for-field.
-  FinalizeChurnReport(monitor, config.breaker.enabled, &session, &report);
+  FinalizeChurnReport(monitor, &session, &report);
   return report;
 }
 

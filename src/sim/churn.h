@@ -99,7 +99,7 @@ TInterval BuildEditReplacement(const TInterval& current, Chronon now,
 /// (including session->FinishReport()), so churn, durable, and proxy
 /// reports compare field-for-field. Checks the monitor's capture
 /// accounting against the schedule-based evaluation.
-void FinalizeChurnReport(const DynamicMonitor& monitor, bool breaker_enabled,
+void FinalizeChurnReport(const DynamicMonitor& monitor,
                          FeedPullSession* session, ProxyRunReport* report);
 
 }  // namespace pullmon

@@ -316,6 +316,21 @@ void FeedPullSession::CommitAttempt(int token) {
                         std::make_move_iterator(rec.items.end()));
 }
 
+ParallelProbeHooks FeedPullSession::ParallelHooks() {
+  ParallelProbeHooks hooks;
+  hooks.begin_chronon = [this](Chronon, int num_workers) {
+    BeginParallelChronon(num_workers);
+  };
+  hooks.decide = [this](ResourceId resource, Chronon now, int token) {
+    return DecideAttempt(resource, now, token);
+  };
+  hooks.execute = [this](const std::vector<int>& tokens, int worker) {
+    for (int token : tokens) ExecuteAttempt(token, worker);
+  };
+  hooks.commit = [this](int token) { CommitAttempt(token); };
+  return hooks;
+}
+
 void FeedPullSession::FinishReport() {
   if (plan_.has_value()) {
     report_->fault_stats = plan_->stats();
@@ -406,18 +421,7 @@ Result<ProxyRunReport> MonitoringProxy::Run() {
 
   if (options_.backend == ExecutorBackend::kParallel) {
     executor.set_threads(options_.threads);
-    ParallelProbeHooks hooks;
-    hooks.begin_chronon = [&session](Chronon, int num_workers) {
-      session.BeginParallelChronon(num_workers);
-    };
-    hooks.decide = [&session](ResourceId resource, Chronon now, int token) {
-      return session.DecideAttempt(resource, now, token);
-    };
-    hooks.execute = [&session](const std::vector<int>& tokens, int worker) {
-      for (int token : tokens) session.ExecuteAttempt(token, worker);
-    };
-    hooks.commit = [&session](int token) { session.CommitAttempt(token); };
-    executor.set_parallel_hooks(std::move(hooks));
+    executor.set_parallel_hooks(session.ParallelHooks());
   }
 
   executor.set_capture_callback([&](ProfileId profile,
@@ -436,28 +440,33 @@ Result<ProxyRunReport> MonitoringProxy::Run() {
   });
 
   PULLMON_ASSIGN_OR_RETURN(report.run, executor.Run());
-  report.probes_failed = report.run.probes_failed;
-  report.retries_issued = report.run.retries_issued;
-  report.retry_probes_spent = report.run.retry_probes_spent;
-  report.circuits_opened = report.run.circuits_opened;
-  report.circuits_reopened = report.run.circuits_reopened;
-  report.probation_probes = report.run.probation_probes;
-  report.probation_successes = report.run.probation_successes;
-  report.probes_suppressed = report.run.probes_suppressed;
-  report.budget_reclaimed = report.run.budget_reclaimed;
-  report.open_chronons_total = report.run.open_chronons_total;
-  report.open_chronons_by_resource = report.run.open_chronons_by_resource;
-  report.shard_count = report.run.shard_count;
-  report.shard_candidates_scored = report.run.shard_candidates_scored;
-  report.shard_probes_executed = report.run.shard_probes_executed;
-  report.shard_merge_entries = report.run.shard_merge_entries;
-  std::size_t total = problem_->TotalTIntervalCount();
-  report.gc_lost_to_faults =
-      total == 0 ? 0.0
-                 : static_cast<double>(report.run.t_intervals_lost_to_faults) /
-                       static_cast<double>(total);
+  MirrorRunCounters(&report);
   session.FinishReport();
   return report;
+}
+
+void MirrorRunCounters(ProxyRunReport* report) {
+  const OnlineRunResult& run = report->run;
+  report->probes_failed = run.probes_failed;
+  report->retries_issued = run.retries_issued;
+  report->retry_probes_spent = run.retry_probes_spent;
+  report->circuits_opened = run.circuits_opened;
+  report->circuits_reopened = run.circuits_reopened;
+  report->probation_probes = run.probation_probes;
+  report->probation_successes = run.probation_successes;
+  report->probes_suppressed = run.probes_suppressed;
+  report->budget_reclaimed = run.budget_reclaimed;
+  report->open_chronons_total = run.open_chronons_total;
+  report->open_chronons_by_resource = run.open_chronons_by_resource;
+  report->shard_count = run.shard_count;
+  report->shard_candidates_scored = run.shard_candidates_scored;
+  report->shard_probes_executed = run.shard_probes_executed;
+  report->shard_merge_entries = run.shard_merge_entries;
+  const std::size_t total = run.completeness.total_t_intervals;
+  report->gc_lost_to_faults =
+      total == 0 ? 0.0
+                 : static_cast<double>(run.t_intervals_lost_to_faults) /
+                       static_cast<double>(total);
 }
 
 }  // namespace pullmon

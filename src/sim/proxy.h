@@ -265,6 +265,10 @@ class FeedPullSession {
   /// effect sequence of the serial Probe().
   void CommitAttempt(int token);
 
+  /// The four ParallelProbeHooks wired to the methods above; the
+  /// session must outlive the hooks.
+  ParallelProbeHooks ParallelHooks();
+
   /// Chronon of the most recent successful fetch batch.
   Chronon fetch_chronon() const { return fetch_chronon_; }
   /// Items pulled during the current chronon (notification payload).
@@ -337,6 +341,12 @@ class FeedPullSession {
   /// One parse arena per worker lane (deque: Arena is pinned in place).
   std::deque<Arena> lane_arenas_;
 };
+
+/// Mirrors report->run's probe-path, health, and shard counters into the
+/// report's own fields and derives gc_lost_to_faults against the run's
+/// completeness denominator — shared by every runner that fills a
+/// ProxyRunReport, so their reports compare field for field.
+void MirrorRunCounters(ProxyRunReport* report);
 
 /// The monitoring proxy: drives the online executor over an epoch while
 /// performing the *physical* data path — every scheduled probe pulls the

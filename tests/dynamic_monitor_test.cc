@@ -1,5 +1,9 @@
 #include "core/dynamic_monitor.h"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/online_executor.h"
@@ -270,6 +274,129 @@ TEST(DynamicMonitorTest, UnregisterBarsFutureSubmissions) {
   // The other profile is unaffected.
   EXPECT_TRUE(monitor.Submit(stays, TInterval({{1, 4, 6}})).ok());
   EXPECT_EQ(monitor.stats().unregistered_profiles, 1u);
+}
+
+TEST(DynamicMonitorTest, CaptureCallbackFiresInlineInCapturedOrder) {
+  // Three resources probed per chronon; each probe completes
+  // t-intervals. Every capture must be reported before the next probe
+  // of the chronon is issued, and in StepResult::captured order.
+  MrsfPolicy policy;
+  DynamicMonitor monitor(3, 4, BudgetVector::Uniform(3, 4), &policy,
+                         ExecutionMode::kPreemptive);
+  ProfileId a = monitor.RegisterProfile("a");
+  ProfileId b = monitor.RegisterProfile("b");
+  ASSERT_TRUE(monitor.Submit(a, TInterval({{0, 0, 1}})).ok());
+  ASSERT_TRUE(monitor.Submit(b, TInterval({{1, 0, 0}})).ok());
+  ASSERT_TRUE(monitor.Submit(a, TInterval({{2, 0, 2}})).ok());
+  ASSERT_TRUE(monitor.Submit(b, TInterval({{0, 0, 3}})).ok());
+  ASSERT_TRUE(monitor.Submit(a, TInterval({{1, 2, 3}, {2, 2, 3}})).ok());
+
+  // Event log: ('p', resource) per probe, ('c', profile, submission) per
+  // capture callback.
+  struct Event {
+    char kind;
+    int x;
+    int y;
+    Chronon t;
+  };
+  std::vector<Event> events;
+  monitor.set_probe_callback([&](ResourceId r, Chronon t) {
+    events.push_back({'p', r, 0, t});
+    return true;
+  });
+  monitor.set_capture_callback([&](ProfileId p, int sub, Chronon t) {
+    events.push_back({'c', p, sub, t});
+  });
+
+  std::size_t captures_seen = 0;
+  for (Chronon t = 0; t < 4; ++t) {
+    const std::size_t first = events.size();
+    auto step = monitor.Step();
+    ASSERT_TRUE(step.ok());
+    std::vector<std::pair<ProfileId, int>> fired;
+    std::size_t probes = 0;
+    for (std::size_t e = first; e < events.size(); ++e) {
+      EXPECT_EQ(events[e].t, t);
+      if (events[e].kind == 'p') {
+        ASSERT_LT(probes, step->probed.size());
+        EXPECT_EQ(events[e].x, step->probed[probes]);
+        ++probes;
+        continue;
+      }
+      // A capture fires right after the probe of the resource that
+      // completed it, before any later probe of the chronon.
+      ASSERT_GT(probes, 0u);
+      fired.emplace_back(events[e].x, events[e].y);
+    }
+    EXPECT_EQ(fired, step->captured) << "chronon " << t;
+    captures_seen += fired.size();
+  }
+  EXPECT_EQ(captures_seen, 5u);
+  EXPECT_EQ(monitor.t_intervals_completed(), 5u);
+
+  // Inline means inline: the capture of the first probe precedes the
+  // second probe of chronon 0.
+  ASSERT_GE(events.size(), 3u);
+  EXPECT_EQ(events[0].kind, 'p');
+  EXPECT_EQ(events[1].kind, 'c');
+}
+
+TEST(DynamicMonitorTest, LoadProblemBorrowsTheWorkload) {
+  MonitoringProblem problem(
+      2, 6,
+      {Profile("a", {TInterval({{0, 0, 1}}), TInterval({{1, 2, 3}})}),
+       Profile("b", {TInterval({{0, 1, 2}, {1, 1, 4}})})},
+      1);
+  ASSERT_TRUE(problem.Validate().ok());
+  MrsfPolicy policy;
+  DynamicMonitor monitor(2, 6, problem.budget, &policy,
+                         ExecutionMode::kPreemptive);
+  ASSERT_TRUE(monitor.LoadProblem(problem).ok());
+  EXPECT_EQ(monitor.t_intervals_submitted(), 3u);
+  std::vector<std::pair<ProfileId, int>> captured;
+  while (monitor.now() < monitor.epoch_length()) {
+    auto step = monitor.Step();
+    ASSERT_TRUE(step.ok());
+    captured.insert(captured.end(), step->captured.begin(),
+                    step->captured.end());
+  }
+  // Profile ids and submission ids are the problem's own indices.
+  std::vector<std::pair<ProfileId, int>> expected = {{0, 0}, {1, 0},
+                                                     {0, 1}};
+  std::sort(captured.begin(), captured.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(captured, expected);
+  // A loaded monitor is no longer fresh.
+  EXPECT_EQ(monitor.LoadProblem(problem).code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST(DynamicMonitorTest, LoadProblemRequiresAFreshMonitor) {
+  MonitoringProblem problem(1, 4, {Profile("a", {TInterval({{0, 0, 1}})})},
+                            1);
+  MrsfPolicy policy;
+  {
+    DynamicMonitor registered(1, 4, problem.budget, &policy,
+                              ExecutionMode::kPreemptive);
+    registered.RegisterProfile("early");
+    EXPECT_EQ(registered.LoadProblem(problem).code(),
+              StatusCode::kFailedPrecondition);
+  }
+  {
+    DynamicMonitor stepped(1, 4, problem.budget, &policy,
+                           ExecutionMode::kPreemptive);
+    ASSERT_TRUE(stepped.Step().ok());
+    EXPECT_EQ(stepped.LoadProblem(problem).code(),
+              StatusCode::kFailedPrecondition);
+  }
+  {
+    // A shape mismatch is the caller's error, not a stale monitor.
+    DynamicMonitor wider(3, 4, problem.budget, &policy,
+                         ExecutionMode::kPreemptive);
+    EXPECT_EQ(wider.LoadProblem(problem).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(wider.t_intervals_submitted(), 0u);
+  }
 }
 
 class DynamicEquivalenceTest : public testing::TestWithParam<uint64_t> {};

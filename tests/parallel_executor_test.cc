@@ -4,8 +4,7 @@
 // interleavings of submit/cancel/edit/unregister/step, faults, retries,
 // and the circuit breaker — at every thread count, and with shard
 // telemetry that is bit-identical across thread counts. A second layer
-// validates the churn-queue ingress (enqueue-then-drain equals direct
-// calls) and the three-phase probe hooks (decide/execute/commit replays
+// validates the three-phase probe hooks (decide/execute/commit replays
 // the plain callback path exactly, with every token executed once on
 // its owning lane and committed in decide order).
 
@@ -80,7 +79,8 @@ TInterval RandomTInterval(Rng* rng, Chronon earliest) {
 
 /// One churn operation of the scripted scenario stream.
 struct ScriptedOp {
-  ChurnOp::Kind kind = ChurnOp::Kind::kSubmit;
+  enum class Kind { kSubmit, kCancel, kEdit, kUnregister };
+  Kind kind = Kind::kSubmit;
   int profile_index = 0;
   int submission_id = 0;
   TInterval t_interval;  // kSubmit / kEdit
@@ -96,7 +96,7 @@ std::vector<std::vector<ScriptedOp>> MakeScript(uint64_t seed) {
     // Submissions (front-loaded, tapering off).
     if (ops.NextBool(t < kEpoch / 2 ? 0.9 : 0.4)) {
       ScriptedOp op;
-      op.kind = ChurnOp::Kind::kSubmit;
+      op.kind = ScriptedOp::Kind::kSubmit;
       op.profile_index = static_cast<int>(ops.NextInt(0, kProfiles - 1));
       op.t_interval = RandomTInterval(&ops, t);
       script[static_cast<std::size_t>(t)].push_back(std::move(op));
@@ -104,7 +104,7 @@ std::vector<std::vector<ScriptedOp>> MakeScript(uint64_t seed) {
     // Cancels — sometimes aimed at dead/unknown submissions on purpose.
     if (ops.NextBool(0.35)) {
       ScriptedOp op;
-      op.kind = ChurnOp::Kind::kCancel;
+      op.kind = ScriptedOp::Kind::kCancel;
       op.profile_index = static_cast<int>(ops.NextInt(0, kProfiles - 1));
       op.submission_id = static_cast<int>(ops.NextInt(0, 6));
       script[static_cast<std::size_t>(t)].push_back(std::move(op));
@@ -112,7 +112,7 @@ std::vector<std::vector<ScriptedOp>> MakeScript(uint64_t seed) {
     // Edits — replacement drawn fresh; dead targets possible.
     if (ops.NextBool(0.3)) {
       ScriptedOp op;
-      op.kind = ChurnOp::Kind::kEdit;
+      op.kind = ScriptedOp::Kind::kEdit;
       op.profile_index = static_cast<int>(ops.NextInt(0, kProfiles - 1));
       op.submission_id = static_cast<int>(ops.NextInt(0, 6));
       op.t_interval = RandomTInterval(&ops, t);
@@ -121,19 +121,13 @@ std::vector<std::vector<ScriptedOp>> MakeScript(uint64_t seed) {
     // Rare unregister (kills the profile for the rest of the epoch).
     if (ops.NextBool(0.02)) {
       ScriptedOp op;
-      op.kind = ChurnOp::Kind::kUnregister;
+      op.kind = ScriptedOp::Kind::kUnregister;
       op.profile_index = static_cast<int>(ops.NextInt(0, kProfiles - 1));
       script[static_cast<std::size_t>(t)].push_back(std::move(op));
     }
   }
   return script;
 }
-
-/// How the scenario feeds churn into the executor under test.
-enum class ChurnIngress {
-  kDirect,  // call Submit/Cancel/Edit/Unregister before Step()
-  kQueue,   // EnqueueChurn; Step() drains (ParallelExecutor only)
-};
 
 /// Applies one scripted op directly to `monitor` (works for both
 /// executors — they share the churn surface contract).
@@ -144,22 +138,22 @@ void ApplyDirect(Monitor* monitor, const ScriptedOp& op,
   ProfileId profile =
       profiles[static_cast<std::size_t>(op.profile_index)];
   switch (op.kind) {
-    case ChurnOp::Kind::kSubmit:
+    case ScriptedOp::Kind::kSubmit:
       if (!monitor->Submit(profile, op.t_interval).ok()) {
         ++trace->rejected_ops;
       }
       break;
-    case ChurnOp::Kind::kCancel:
+    case ScriptedOp::Kind::kCancel:
       if (!monitor->Cancel(profile, op.submission_id).ok()) {
         ++trace->rejected_ops;
       }
       break;
-    case ChurnOp::Kind::kEdit:
+    case ScriptedOp::Kind::kEdit:
       if (!monitor->Edit(profile, op.submission_id, op.t_interval).ok()) {
         ++trace->rejected_ops;
       }
       break;
-    case ChurnOp::Kind::kUnregister:
+    case ScriptedOp::Kind::kUnregister:
       if (!monitor->Unregister(profile).ok()) {
         ++trace->rejected_ops;
       }
@@ -172,7 +166,7 @@ void ApplyDirect(Monitor* monitor, const ScriptedOp& op,
 /// same churn/step/stats surface.
 template <typename Monitor>
 RunTrace RunScenario(Monitor* monitor, uint64_t seed,
-                     const FaultConfig& faults, ChurnIngress ingress) {
+                     const FaultConfig& faults) {
   RunTrace trace;
   std::vector<int> attempts_at(
       static_cast<std::size_t>(kResources * kEpoch), 0);
@@ -191,20 +185,7 @@ RunTrace RunScenario(Monitor* monitor, uint64_t seed,
   std::vector<std::vector<ScriptedOp>> script = MakeScript(seed);
   for (Chronon t = 0; t < kEpoch; ++t) {
     for (const ScriptedOp& op : script[static_cast<std::size_t>(t)]) {
-      if (ingress == ChurnIngress::kDirect) {
-        ApplyDirect(monitor, op, profiles, &trace);
-      } else if constexpr (std::is_same_v<Monitor, ParallelExecutor>) {
-        ChurnOp queued;
-        queued.kind = op.kind;
-        queued.profile =
-            profiles[static_cast<std::size_t>(op.profile_index)];
-        queued.submission_id = op.submission_id;
-        queued.t_interval = op.t_interval;
-        queued.on_complete = [&trace](const ChurnOutcome& outcome) {
-          if (!outcome.status.ok()) ++trace.rejected_ops;
-        };
-        monitor->EnqueueChurn(std::move(queued));
-      }
+      ApplyDirect(monitor, op, profiles, &trace);
     }
     auto step = monitor->Step();
     PULLMON_CHECK(step.ok());
@@ -232,7 +213,7 @@ RunTrace RunSerial(uint64_t seed, const PolicySpec& spec,
   DynamicMonitor monitor(kResources, kEpoch,
                          BudgetVector::Uniform(2, kEpoch), policy->get(),
                          spec.mode, options);
-  return RunScenario(&monitor, seed, faults, ChurnIngress::kDirect);
+  return RunScenario(&monitor, seed, faults);
 }
 
 struct ParallelRun {
@@ -241,8 +222,7 @@ struct ParallelRun {
 };
 
 ParallelRun RunParallel(uint64_t seed, const PolicySpec& spec,
-                        const FaultConfig& faults, int threads, int shards,
-                        ChurnIngress ingress = ChurnIngress::kDirect) {
+                        const FaultConfig& faults, int threads, int shards) {
   PolicyOptions po;
   po.random_seed = seed ^ 0x5bf03635ULL;
   po.num_resources = kResources;
@@ -257,7 +237,7 @@ ParallelRun RunParallel(uint64_t seed, const PolicySpec& spec,
                             BudgetVector::Uniform(2, kEpoch),
                             policy->get(), spec.mode, options);
   ParallelRun run;
-  run.trace = RunScenario(&executor, seed, faults, ingress);
+  run.trace = RunScenario(&executor, seed, faults);
   run.shard_stats = executor.shard_stats();
   return run;
 }
@@ -368,30 +348,6 @@ TEST(ParallelExecutorTest, ShardCountDoesNotChangeDecisions) {
                             label + " shards=" + std::to_string(shards));
       EXPECT_EQ(run.shard_stats.shard_count, shards) << label;
     }
-  }
-}
-
-// Churn submitted through the bounded MPSC queue and drained at the
-// chronon boundary must behave exactly like direct calls made before
-// Step(): same decisions, same accept/reject outcomes.
-TEST(ParallelExecutorTest, QueueIngressMatchesDirectCalls) {
-  std::vector<PolicySpec> specs = StandardPolicySpecs();
-  FaultConfig faults;
-  faults.fail_permille = 200;
-  faults.retry.max_retries = 1;
-  faults.retry.backoff_base = 0.1;
-
-  for (uint64_t seed = 200; seed < 216; ++seed) {
-    const PolicySpec& spec = specs[seed % specs.size()];
-    std::string label = spec.Label() + " seed=" + std::to_string(seed);
-    ParallelRun direct = RunParallel(seed, spec, faults, /*threads=*/4,
-                                     ParallelOptions::kDefaultShards,
-                                     ChurnIngress::kDirect);
-    ParallelRun queued = RunParallel(seed, spec, faults, /*threads=*/4,
-                                     ParallelOptions::kDefaultShards,
-                                     ChurnIngress::kQueue);
-    ExpectTracesIdentical(direct.trace, queued.trace, label);
-    EXPECT_TRUE(direct.shard_stats == queued.shard_stats) << label;
   }
 }
 

@@ -5,6 +5,7 @@
 #include "profilegen/auction_watch.h"
 #include "profilegen/profile_generator.h"
 #include "trace/poisson_generator.h"
+#include "util/zipf.h"
 
 namespace pullmon {
 namespace {
@@ -113,6 +114,26 @@ TEST(DrawDistinctResourcesTest, FullDrawUnderSteepSkew) {
   auto resources = DrawDistinctResources(10, 10, 3.0, &rng);
   ASSERT_TRUE(resources.ok());
   EXPECT_EQ(resources->size(), 10u);
+}
+
+TEST(DrawDistinctResourcesTest, SharedDistributionReproducesPerDrawSequence) {
+  // GenerateProfiles draws every profile from one prebuilt popularity
+  // table; that must consume the stream exactly like building the table
+  // afresh per draw.
+  Rng per_draw(21);
+  Rng shared(21);
+  const ZipfDistribution popularity(1.1, 50);
+  for (int i = 0; i < 200; ++i) {
+    const int count = 1 + i % 7;
+    auto expected = DrawDistinctResources(count, 50, 1.1, &per_draw);
+    auto actual = DrawDistinctResources(count, popularity, &shared);
+    ASSERT_TRUE(expected.ok());
+    ASSERT_TRUE(actual.ok());
+    ASSERT_EQ(*expected, *actual) << "draw " << i;
+  }
+  EXPECT_EQ(per_draw.Next(), shared.Next());
+  EXPECT_FALSE(DrawDistinctResources(51, popularity, &shared).ok());
+  EXPECT_FALSE(DrawDistinctResources(0, popularity, &shared).ok());
 }
 
 TEST(DrawDistinctResourcesTest, AlphaSkewsTowardPopular) {

@@ -19,8 +19,9 @@
 //                going stale. Reported, ungated.
 //
 // Every regime also cross-checks that the estimated arm's report is
-// identical on the serial and parallel backends — always fatal, gate
-// or no gate.
+// identical on the indexed backend and the reference backend (whose
+// monitor rebuilds its candidate index from scratch every chronon) —
+// always fatal, gate or no gate.
 
 #include <cstdlib>
 #include <iostream>
@@ -149,20 +150,19 @@ int RunBench(const AdaptiveOptions& options,
       if (rep == 0) {
         // Cross-backend equality of the estimated arm: the closed loop
         // must not depend on which executor runs it. Always fatal.
-        config.executor_backend = ExecutorBackend::kParallel;
-        config.threads = 4;
-        auto parallel = RunProxyOnce(config, spec, seed);
-        if (!parallel.ok()) {
-          std::cerr << parallel.status().ToString() << "\n";
+        config.executor_backend = ExecutorBackend::kReference;
+        auto reference = RunProxyOnce(config, spec, seed);
+        if (!reference.ok()) {
+          std::cerr << reference.status().ToString() << "\n";
           return 1;
         }
-        if (parallel->run.probes_used != estimated->run.probes_used ||
-            parallel->run.completeness.GainedCompleteness() !=
+        if (reference->run.probes_used != estimated->run.probes_used ||
+            reference->run.completeness.GainedCompleteness() !=
                 estimated->run.completeness.GainedCompleteness() ||
-            parallel->estimation_update_events !=
+            reference->estimation_update_events !=
                 estimated->estimation_update_events) {
           std::cerr << "FATAL: estimated-knowledge reports diverge "
-                       "between serial and parallel backends (regime "
+                       "between the indexed and reference backends (regime "
                     << regime.name << ")\n";
           return 1;
         }

@@ -322,28 +322,11 @@ class CandidateIndex {
   template <typename OnExpire>
   void ExpireEnding(Chronon now, OnExpire&& on_expire) {
     for (int id : ending_at_[static_cast<std::size_t>(now)]) {
-      if (!ExpireOne(id, on_expire)) continue;
+      IndexedEi& flat = eis_[static_cast<std::size_t>(id)];
+      if (flat.dead) continue;
+      RemoveFromPlay(id);
+      on_expire(id, const_cast<const IndexedEi&>(flat));
     }
-  }
-
-  /// The flat ids whose windows close at `now` (dead entries included —
-  /// callers filter through ExpireOne). Partition hook: the parallel
-  /// executor k-way-merges the per-shard lists into the serial expiry
-  /// order before applying ExpireOne() entry by entry.
-  const std::vector<int>& EndingAt(Chronon now) const {
-    return ending_at_[static_cast<std::size_t>(now)];
-  }
-
-  /// Expires a single EI if it is still live: removes it from the index
-  /// and reports it to `on_expire` (same contract as ExpireEnding).
-  /// False when the EI was already dead (nothing happened).
-  template <typename OnExpire>
-  bool ExpireOne(int flat_id, OnExpire&& on_expire) {
-    IndexedEi& flat = eis_[static_cast<std::size_t>(flat_id)];
-    if (flat.dead) return false;
-    RemoveFromPlay(flat_id);
-    on_expire(flat_id, const_cast<const IndexedEi&>(flat));
-    return true;
   }
 
   // --- Running per-resource counters (maintained, not recomputed). ----

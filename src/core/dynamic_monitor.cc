@@ -638,4 +638,30 @@ Status DynamicMonitor::CheckInvariants() const {
   return Status::OK();
 }
 
+void CollectRunCounters(const DynamicMonitor& monitor, OnlineRunResult* run) {
+  const MonitorStats& ms = monitor.stats();
+  run->schedule = monitor.schedule();
+  run->probes_used = ms.probes_used;
+  run->t_intervals_completed = monitor.t_intervals_completed();
+  run->t_intervals_failed = monitor.t_intervals_failed();
+  run->candidates_scored = ms.candidates_scored;
+  run->max_concurrent_candidates = ms.max_concurrent_candidates;
+  run->probes_failed = ms.probes_failed;
+  run->retries_issued = ms.retries_issued;
+  run->retry_probes_spent = ms.retry_probes_spent;
+  run->t_intervals_lost_to_faults = ms.t_intervals_lost_to_faults;
+  const ResourceHealthTracker& health = monitor.health();
+  const HealthStats& hs = health.stats();
+  run->circuits_opened = hs.circuits_opened;
+  run->circuits_reopened = hs.circuits_reopened;
+  run->probation_probes = hs.probation_probes;
+  run->probation_successes = hs.probation_successes;
+  run->probes_suppressed = hs.probes_suppressed;
+  run->budget_reclaimed = hs.budget_reclaimed;
+  run->open_chronons_total = hs.open_chronons_total;
+  if (health.breaker_enabled()) {
+    run->open_chronons_by_resource = health.OpenChrononsByResource();
+  }
+}
+
 }  // namespace pullmon

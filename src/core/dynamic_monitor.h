@@ -125,10 +125,10 @@ struct MonitorImage {
 /// The serial implementation of the online semantics (Section 4.2.1):
 /// Step() is the one place the chronon step — reveal arrivals, score,
 /// probe the top C_j resources (retries, breaker), capture, expire — is
-/// written for a single thread. Clients subscribe, submit, cancel, and
-/// edit t-intervals *while the epoch runs*; a static workload is the
-/// special case where everything is loaded up front (LoadProblem), which
-/// is how OnlineExecutor's default backend drives it.
+/// written. Clients subscribe, submit, cancel, and edit t-intervals
+/// *while the epoch runs*; a static workload is the special case where
+/// everything is loaded up front (LoadProblem), which is how
+/// OnlineExecutor's default backend drives it.
 ///
 /// The executor differential suite asserts schedule-for-schedule
 /// equality with the scan-based ReferenceExecutor oracle, and the churn
@@ -340,45 +340,11 @@ class DynamicMonitor {
   std::vector<ResourceCandidate> entries_;  // per-chronon scratch
 };
 
-/// Copies a monitor's schedule and its capture, probe-path, health, and
-/// — for the sharded ParallelExecutor — shard counters into `run`: the
-/// one place MonitorStats/HealthStats/ShardRunStats become
-/// OnlineRunResult fields. Works on DynamicMonitor and ParallelExecutor
-/// alike (same accessor surface). Completeness and elapsed time are left
-/// to the caller, since they depend on what the run is scored against.
-template <typename Monitor>
-void CollectRunCounters(const Monitor& monitor, OnlineRunResult* run) {
-  const MonitorStats& ms = monitor.stats();
-  run->schedule = monitor.schedule();
-  run->probes_used = ms.probes_used;
-  run->t_intervals_completed = monitor.t_intervals_completed();
-  run->t_intervals_failed = monitor.t_intervals_failed();
-  run->candidates_scored = ms.candidates_scored;
-  run->max_concurrent_candidates = ms.max_concurrent_candidates;
-  run->probes_failed = ms.probes_failed;
-  run->retries_issued = ms.retries_issued;
-  run->retry_probes_spent = ms.retry_probes_spent;
-  run->t_intervals_lost_to_faults = ms.t_intervals_lost_to_faults;
-  const ResourceHealthTracker& health = monitor.health();
-  const HealthStats& hs = health.stats();
-  run->circuits_opened = hs.circuits_opened;
-  run->circuits_reopened = hs.circuits_reopened;
-  run->probation_probes = hs.probation_probes;
-  run->probation_successes = hs.probation_successes;
-  run->probes_suppressed = hs.probes_suppressed;
-  run->budget_reclaimed = hs.budget_reclaimed;
-  run->open_chronons_total = hs.open_chronons_total;
-  if (health.breaker_enabled()) {
-    run->open_chronons_by_resource = health.OpenChrononsByResource();
-  }
-  if constexpr (requires { monitor.shard_stats(); }) {
-    const auto& ss = monitor.shard_stats();
-    run->shard_count = static_cast<std::size_t>(ss.shard_count);
-    run->shard_candidates_scored = ss.candidates_scored;
-    run->shard_probes_executed = ss.probes_executed;
-    run->shard_merge_entries = ss.merge_entries;
-  }
-}
+/// Copies a monitor's schedule and its capture, probe-path and health
+/// counters into `run`: the one place MonitorStats/HealthStats become
+/// OnlineRunResult fields. Completeness and elapsed time are left to the
+/// caller, since they depend on what the run is scored against.
+void CollectRunCounters(const DynamicMonitor& monitor, OnlineRunResult* run);
 
 }  // namespace pullmon
 

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "core/dynamic_monitor.h"
-#include "core/parallel_executor.h"
 #include "core/reference_executor.h"
 #include "util/logging.h"
 
@@ -15,8 +14,6 @@ const char* ExecutorBackendToString(ExecutorBackend backend) {
       return "indexed";
     case ExecutorBackend::kReference:
       return "reference";
-    case ExecutorBackend::kParallel:
-      return "parallel";
   }
   return "?";
 }
@@ -39,14 +36,13 @@ Status RetryPolicy::Validate() const {
 
 namespace {
 
-/// The static-workload driver shared by the kIndexed and kParallel arms:
-/// load the (validated) problem into a fresh monitor, step it through the
-/// epoch, and collect the result. Submission ids equal t-interval
-/// indices because Validate() admits no empty t-interval, so capture
-/// callbacks pass through unchanged.
-template <typename Monitor>
+/// The static-workload driver of the kIndexed arm: load the (validated)
+/// problem into a fresh monitor, step it through the epoch, and collect
+/// the result. Submission ids equal t-interval indices because
+/// Validate() admits no empty t-interval, so capture callbacks pass
+/// through unchanged.
 Result<OnlineRunResult> DriveProblem(
-    const MonitoringProblem& problem, Monitor* monitor,
+    const MonitoringProblem& problem, DynamicMonitor* monitor,
     const OnlineExecutor::ProbeCallback& probe_callback,
     const OnlineExecutor::CaptureCallback& capture_callback) {
   PULLMON_RETURN_NOT_OK(monitor->LoadProblem(problem));
@@ -83,12 +79,6 @@ OnlineExecutor::OnlineExecutor(const MonitoringProblem* problem,
                                Policy* policy, ExecutionMode mode)
     : problem_(problem), policy_(policy), mode_(mode) {}
 
-OnlineExecutor::~OnlineExecutor() = default;
-
-void OnlineExecutor::set_parallel_hooks(ParallelProbeHooks hooks) {
-  parallel_hooks_ = std::make_shared<ParallelProbeHooks>(std::move(hooks));
-}
-
 Result<OnlineRunResult> OnlineExecutor::Run() {
   if (backend_ == ExecutorBackend::kReference) {
     ReferenceExecutor reference(problem_, policy_, mode_);
@@ -101,18 +91,6 @@ Result<OnlineRunResult> OnlineExecutor::Run() {
   PULLMON_RETURN_NOT_OK(problem_->Validate());
   PULLMON_RETURN_NOT_OK(retry_.Validate());
   PULLMON_RETURN_NOT_OK(breaker_.Validate());
-  if (backend_ == ExecutorBackend::kParallel) {
-    ParallelOptions options;
-    options.retry = retry_;
-    options.breaker = breaker_;
-    options.threads = threads_;
-    ParallelExecutor executor(problem_->num_resources,
-                              problem_->epoch.length, problem_->budget,
-                              policy_, mode_, options);
-    if (parallel_hooks_) executor.set_probe_hooks(*parallel_hooks_);
-    return DriveProblem(*problem_, &executor, probe_callback_,
-                        capture_callback_);
-  }
   MonitorOptions options;
   options.retry = retry_;
   options.breaker = breaker_;

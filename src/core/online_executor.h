@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/completeness.h"
@@ -13,8 +12,6 @@
 #include "util/status.h"
 
 namespace pullmon {
-
-struct ParallelProbeHooks;  // core/parallel_executor.h
 
 /// Same-chronon retry behavior of the probe path. A failed probe may be
 /// retried with exponential backoff; every retry consumes one unit of
@@ -79,13 +76,13 @@ struct OnlineRunResult {
   /// empty when the breaker is disabled.
   std::vector<std::size_t> open_chronons_by_resource;
 
-  // --- Shard telemetry (kParallel only; zero/empty on the serial
-  // --- backends; mirrors ShardRunStats, core/parallel_executor.h).
-  // --- Depends on the shard map and workload, never the thread count —
-  // --- the thread-invariance suite compares it bit-for-bit. ------------
+  /// Unread in src/; only the frozen benchmark (perfbench/) writes it.
   std::size_t shard_count = 0;
+  /// Unread in src/; only the frozen benchmark (perfbench/) writes it.
   std::vector<std::size_t> shard_candidates_scored;
+  /// Unread in src/; only the frozen benchmark (perfbench/) writes it.
   std::vector<std::size_t> shard_probes_executed;
+  /// Unread in src/; only the frozen benchmark (perfbench/) writes it.
   std::size_t shard_merge_entries = 0;
 };
 
@@ -100,14 +97,9 @@ enum class ExecutorBackend {
   /// Rebuild-and-fully-sort every chronon (core/reference_executor.h) —
   /// the easy-to-audit oracle.
   kReference,
-  /// Sharded multi-threaded pipeline (core/parallel_executor.h):
-  /// consistent-hash resource shards, per-shard scoring/selection, a
-  /// deterministic ordered merge, and concurrent probe execution.
-  /// Decision-identical to kIndexed at every thread count.
-  kParallel,
 };
 
-/// "indexed" / "reference" / "parallel".
+/// "indexed" / "reference".
 const char* ExecutorBackendToString(ExecutorBackend backend);
 
 /// Runs an online policy over a monitoring problem, chronon by chronon.
@@ -125,11 +117,10 @@ const char* ExecutorBackendToString(ExecutorBackend backend);
 ///    t-interval arrival order, EI index).
 ///
 /// OnlineExecutor holds no chronon loop of its own: it is the static-
-/// workload driver over the monitors. The default backend loads the
+/// workload driver over DynamicMonitor. The default backend loads the
 /// whole problem into a DynamicMonitor (by pointer — the t-intervals are
-/// borrowed, not copied) and steps it through the epoch; kParallel does
-/// the same over the sharded ParallelExecutor, and kReference runs the
-/// scan-based oracle (core/reference_executor.h).
+/// borrowed, not copied) and steps it through the epoch; kReference runs
+/// the scan-based oracle (core/reference_executor.h).
 class OnlineExecutor {
  public:
   /// Invoked when a t-interval is fully captured: (profile, index of the
@@ -151,7 +142,6 @@ class OnlineExecutor {
   /// not take ownership.
   OnlineExecutor(const MonitoringProblem* problem, Policy* policy,
                  ExecutionMode mode);
-  ~OnlineExecutor();
 
   void set_capture_callback(CaptureCallback callback) {
     capture_callback_ = std::move(callback);
@@ -172,15 +162,6 @@ class OnlineExecutor {
   void set_backend(ExecutorBackend backend) { backend_ = backend; }
   ExecutorBackend backend() const { return backend_; }
 
-  /// Worker threads of the kParallel backend (<= 1 runs the sharded
-  /// pipeline inline); ignored by the serial backends.
-  void set_threads(int threads) { threads_ = threads; }
-
-  /// Three-phase probe pipeline of the kParallel backend (defined in
-  /// core/parallel_executor.h); overrides the plain probe callback
-  /// there. Ignored by the serial backends.
-  void set_parallel_hooks(ParallelProbeHooks hooks);
-
   /// Validates the problem and executes the full epoch. Can be called
   /// repeatedly; each call is an independent run (the policy is Reset()).
   Result<OnlineRunResult> Run();
@@ -194,10 +175,6 @@ class OnlineExecutor {
   ProbeCallback probe_callback_;
   RetryPolicy retry_;
   BreakerOptions breaker_;
-  int threads_ = 1;
-  /// Owned by pointer so this header needs no parallel_executor.h
-  /// include (which includes this header back).
-  std::shared_ptr<ParallelProbeHooks> parallel_hooks_;
 };
 
 }  // namespace pullmon

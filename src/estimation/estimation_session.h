@@ -63,8 +63,7 @@ struct EstimationStats {
 ///
 /// Everything here is a pure function of the ingested observation
 /// sequence — no RNG, no wall clock — so runs are bit-identical across
-/// repeats and thread counts as long as observations are ingested in
-/// the canonical serial commit order.
+/// repeats as long as observations are ingested in probe order.
 class EstimationSession {
  public:
   EstimationSession(int num_resources, Chronon epoch_length,

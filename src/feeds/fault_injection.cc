@@ -220,7 +220,7 @@ Result<FaultPlan::ProbeDecision> FaultPlan::DecideProbe(
   ++stats_.probes_seen;
   ProbeDecision decision;
   if (options.AllZero()) {
-    // Fast pass-through: no stream is touched, the execute phase probes
+    // Fast pass-through: no stream is touched, ExecuteDecision probes
     // the wrapped network verbatim — byte-identical to running without
     // the layer.
     decision.all_zero = true;
@@ -298,8 +298,8 @@ Result<FaultPlan::ProbeDecision> FaultPlan::DecideProbe(
 
   // Predict the conditional-fetch outcome: the server's validator moves
   // only when a chronon boundary publishes items, never on a fetch, so
-  // the state read here is exactly the state the execute-phase fetch
-  // observes (ExecuteDecision checks the prediction).
+  // the state read here is exactly the state the fetch observes
+  // (ExecuteDecision checks the prediction).
   decision.not_modified =
       !decision.storm && !if_none_match.empty() &&
       if_none_match == network_->server(resource)->CurrentETagView();

@@ -6,7 +6,6 @@
 
 #include "core/completeness.h"
 #include "core/dynamic_monitor.h"
-#include "core/parallel_executor.h"
 #include "estimation/estimation_session.h"
 #include "policies/policy_factory.h"
 #include "sim/experiment.h"
@@ -41,8 +40,8 @@ std::vector<Chronon> NewItemChronons(const FeedPullSession& session,
 
 /// Serial probe path with observation capture: runs the session probe
 /// and feeds its outcome — success, 304, and the new-item diff — to the
-/// estimation session. Used by the serial monitor's probe callback and
-/// by the explore probes of both arms.
+/// estimation session. Used by the monitor's probe callback and by the
+/// explore probes.
 bool ObservedProbe(FeedPullSession* session, EstimationSession* model,
                    const ProxyRunReport& report, ResourceId resource,
                    Chronon now, const ChrononClock& clock,
@@ -67,9 +66,9 @@ bool ObservedProbe(FeedPullSession* session, EstimationSession* model,
 }
 
 /// Per-chronon explore decisions, fixed up front from (seed, chronon)
-/// alone so the budget split is identical across backends and thread
-/// counts. A marked chronon diverts one budget unit from the monitor
-/// into an epsilon probe of the coldest resource.
+/// alone so the budget split is identical across backends. A marked
+/// chronon diverts one budget unit from the monitor into an epsilon
+/// probe of the coldest resource.
 std::vector<uint8_t> PlanExploreChronons(const SimulationConfig& config,
                                          uint64_t seed) {
   std::vector<uint8_t> explore(
@@ -105,10 +104,8 @@ ResourceId ColdestResource(const EstimationSession& model,
 /// Registers every true profile, then drives the monitor chronon by
 /// chronon: at each forecast-horizon boundary it regenerates predicted
 /// t-intervals from the estimation session and submits them, fires the
-/// chronon's explore probe if one is planned, and steps. The epoch loop
-/// is shared verbatim by both executor backends (like DriveChurnEpoch).
-template <typename Monitor>
-Status DriveAdaptiveEpoch(Monitor* monitor,
+/// chronon's explore probe if one is planned, and steps.
+Status DriveAdaptiveEpoch(DynamicMonitor* monitor,
                           const MonitoringProblem& problem,
                           const SimulationConfig& config,
                           EstimationSession* model,
@@ -217,13 +214,12 @@ Status DriveAdaptiveEpoch(Monitor* monitor,
   return Status::OK();
 }
 
-/// Telemetry mirroring of the adaptive arms. Unlike the churn
+/// Telemetry mirroring of the adaptive runner. Unlike the churn
 /// finalizer, completeness is scored against the *true* profiles over
 /// the combined monitor + explore schedule — the monitor only ever saw
 /// predicted submissions, so its own capture accounting measures the
 /// forecasts, not the ground truth.
-template <typename Monitor>
-Status FinalizeAdaptiveReport(const Monitor& monitor,
+Status FinalizeAdaptiveReport(const DynamicMonitor& monitor,
                               const MonitoringProblem& problem,
                               const Schedule& explore_schedule,
                               std::size_t explore_issued,
@@ -317,98 +313,28 @@ Result<ProxyRunReport> RunAdaptiveOnce(const SimulationConfig& config,
   std::size_t explore_issued = 0;
 
   const auto run_start = std::chrono::steady_clock::now();
-  if (config.executor_backend == ExecutorBackend::kParallel) {
-    ParallelOptions opts;
-    opts.retry = config.retry;
-    opts.breaker = config.breaker;
-    opts.threads = config.threads;
-    ParallelExecutor monitor(problem.num_resources, problem.epoch.length,
-                             monitor_budget, policy.get(), spec.mode, opts);
-    // Observation capture rides the serial decide/commit phases: decide
-    // records each token's resource, commit applies the attempt and
-    // derives the item diff — so the estimator ingests in canonical
-    // attempt order at every thread count.
-    struct AttemptMeta {
-      ResourceId resource = 0;
-      Chronon chronon = 0;
-    };
-    std::vector<AttemptMeta> metas;
-    ParallelProbeHooks hooks;
-    hooks.begin_chronon = [&](Chronon, int num_workers) {
-      metas.clear();
-      session.BeginParallelChronon(num_workers);
-    };
-    hooks.decide = [&](ResourceId resource, Chronon now, int token) {
-      PULLMON_CHECK(static_cast<std::size_t>(token) == metas.size());
-      metas.push_back({resource, now});
-      return session.DecideAttempt(resource, now, token);
-    };
-    hooks.execute = [&](const std::vector<int>& tokens, int worker) {
-      for (int token : tokens) session.ExecuteAttempt(token, worker);
-    };
-    hooks.commit = [&](int token) {
-      const AttemptMeta& meta = metas[static_cast<std::size_t>(token)];
-      const std::size_t items_before =
-          session.fetch_chronon() == meta.chronon
-              ? session.current_items().size()
-              : 0;
-      const std::size_t nm_before = report.not_modified;
-      const std::size_t failures_before =
-          report.timeouts + report.server_errors + report.outage_probes +
-          report.parse_failures;
-      session.CommitAttempt(token);
-      const std::size_t failures_after =
-          report.timeouts + report.server_errors + report.outage_probes +
-          report.parse_failures;
-      ProbeObservation obs;
-      obs.resource = meta.resource;
-      obs.probed_at = meta.chronon;
-      obs.success = failures_after == failures_before;
-      if (obs.success) {
-        obs.not_modified = report.not_modified > nm_before;
-        if (!obs.not_modified) {
-          obs.update_chronons =
-              NewItemChronons(session, meta.chronon, items_before, clock,
-                              problem.epoch.length);
-        }
-      }
-      model.Ingest(obs);
-    };
-    monitor.set_probe_hooks(std::move(hooks));
-    PULLMON_RETURN_NOT_OK(DriveAdaptiveEpoch(
-        &monitor, problem, config, &model, &session, explore_at, monitor_budget, clock,
-        &explore_schedule, &explore_issued, &report));
-    report.run.elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      run_start)
-            .count();
-    PULLMON_RETURN_NOT_OK(FinalizeAdaptiveReport(
-        monitor, problem, explore_schedule, explore_issued, &session,
-        &report));
-  } else {
-    MonitorOptions mo;
-    mo.retry = config.retry;
-    mo.breaker = config.breaker;
-    mo.maintenance = config.executor_backend == ExecutorBackend::kReference
-                         ? MonitorIndexMode::kRebuild
-                         : MonitorIndexMode::kIncremental;
-    DynamicMonitor monitor(problem.num_resources, problem.epoch.length,
-                           monitor_budget, policy.get(), spec.mode, mo);
-    monitor.set_probe_callback([&](ResourceId resource, Chronon now) {
-      return ObservedProbe(&session, &model, report, resource, now, clock,
-                           problem.epoch.length);
-    });
-    PULLMON_RETURN_NOT_OK(DriveAdaptiveEpoch(
-        &monitor, problem, config, &model, &session, explore_at, monitor_budget, clock,
-        &explore_schedule, &explore_issued, &report));
-    report.run.elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      run_start)
-            .count();
-    PULLMON_RETURN_NOT_OK(FinalizeAdaptiveReport(
-        monitor, problem, explore_schedule, explore_issued, &session,
-        &report));
-  }
+  MonitorOptions mo;
+  mo.retry = config.retry;
+  mo.breaker = config.breaker;
+  mo.maintenance = config.executor_backend == ExecutorBackend::kReference
+                       ? MonitorIndexMode::kRebuild
+                       : MonitorIndexMode::kIncremental;
+  DynamicMonitor monitor(problem.num_resources, problem.epoch.length,
+                         monitor_budget, policy.get(), spec.mode, mo);
+  monitor.set_probe_callback([&](ResourceId resource, Chronon now) {
+    return ObservedProbe(&session, &model, report, resource, now, clock,
+                         problem.epoch.length);
+  });
+  PULLMON_RETURN_NOT_OK(DriveAdaptiveEpoch(
+      &monitor, problem, config, &model, &session, explore_at,
+      monitor_budget, clock, &explore_schedule, &explore_issued, &report));
+  report.run.elapsed_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    run_start)
+          .count();
+  PULLMON_RETURN_NOT_OK(FinalizeAdaptiveReport(
+      monitor, problem, explore_schedule, explore_issued, &session,
+      &report));
 
   const EstimationStats& es = model.stats();
   report.estimation_probes_observed = es.probes_observed;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/dynamic_monitor.h"
-#include "core/parallel_executor.h"
 #include "policies/policy_factory.h"
 #include "sim/experiment.h"
 #include "util/random.h"
@@ -100,37 +99,13 @@ TInterval BuildEditReplacement(const TInterval& current, Chronon now,
 
 namespace {
 
-/// The telemetry mirroring shared by the serial and parallel churn
-/// arms: DynamicMonitor and ParallelExecutor expose the identical
-/// accessor surface, so one template covers both.
-template <typename Monitor>
-void FinalizeChurnReportImpl(const Monitor& monitor,
-                             FeedPullSession* session,
-                             ProxyRunReport* report) {
-  CollectRunCounters(monitor, &report->run);
-  report->run.completeness = monitor.Completeness();
-  // The monitor's own capture accounting must agree with the
-  // schedule-based evaluation (cancelled submissions excluded).
-  PULLMON_CHECK(report->run.completeness.captured_t_intervals ==
-                monitor.t_intervals_completed());
-  MirrorRunCounters(report);
-  const MonitorStats& ms = monitor.stats();
-  report->churn_submitted = ms.submitted;
-  report->churn_cancelled = ms.cancelled;
-  report->churn_edited = ms.edited;
-  report->churn_unregistered_profiles = ms.unregistered_profiles;
-  report->orphaned_probes = ms.orphaned_probes;
-  session->FinishReport();
-}
-
 /// Registers every profile, buckets arrivals, generates the churn
-/// stream, and drives the monitor chronon by chronon — the epoch loop
-/// shared verbatim by both executor backends. Churn operations apply
+/// stream, and drives the monitor chronon by chronon. Churn operations apply
 /// synchronously: the workload's pick-resolution (`pick % live
 /// submission count`) depends on every earlier operation of the same
 /// chronon having landed.
-template <typename Monitor>
-Status DriveChurnEpoch(Monitor* monitor, const MonitoringProblem& problem,
+Status DriveChurnEpoch(DynamicMonitor* monitor,
+                       const MonitoringProblem& problem,
                        const SimulationConfig& config, uint64_t seed,
                        ProxyRunReport* report) {
   const Chronon epoch_length = problem.epoch.length;
@@ -224,7 +199,20 @@ Status DriveChurnEpoch(Monitor* monitor, const MonitoringProblem& problem,
 
 void FinalizeChurnReport(const DynamicMonitor& monitor,
                          FeedPullSession* session, ProxyRunReport* report) {
-  FinalizeChurnReportImpl(monitor, session, report);
+  CollectRunCounters(monitor, &report->run);
+  report->run.completeness = monitor.Completeness();
+  // The monitor's own capture accounting must agree with the
+  // schedule-based evaluation (cancelled submissions excluded).
+  PULLMON_CHECK(report->run.completeness.captured_t_intervals ==
+                monitor.t_intervals_completed());
+  MirrorRunCounters(report);
+  const MonitorStats& ms = monitor.stats();
+  report->churn_submitted = ms.submitted;
+  report->churn_cancelled = ms.cancelled;
+  report->churn_edited = ms.edited;
+  report->churn_unregistered_profiles = ms.unregistered_profiles;
+  report->orphaned_probes = ms.orphaned_probes;
+  session->FinishReport();
 }
 
 Result<ProxyRunReport> RunChurnOnce(const SimulationConfig& config,
@@ -263,24 +251,6 @@ Result<ProxyRunReport> RunChurnOnce(const SimulationConfig& config,
   FeedPullSession session(&network, problem.num_resources, popts, &report);
 
   const auto run_start = std::chrono::steady_clock::now();
-  if (config.executor_backend == ExecutorBackend::kParallel) {
-    ParallelOptions opts;
-    opts.retry = config.retry;
-    opts.breaker = config.breaker;
-    opts.threads = config.threads;
-    ParallelExecutor monitor(problem.num_resources, problem.epoch.length,
-                             problem.budget, policy.get(), spec.mode, opts);
-    monitor.set_probe_hooks(session.ParallelHooks());
-    PULLMON_RETURN_NOT_OK(
-        DriveChurnEpoch(&monitor, problem, config, seed, &report));
-    report.run.elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      run_start)
-            .count();
-    FinalizeChurnReportImpl(monitor, &session, &report);
-    return report;
-  }
-
   MonitorOptions mo;
   mo.retry = config.retry;
   mo.breaker = config.breaker;

@@ -172,7 +172,6 @@ Result<ProxyRunReport> RunProxyOnce(const SimulationConfig& config,
   options.backend = config.executor_backend;
   options.parse_cache = config.parse_cache;
   options.trace_backend = config.trace_backend;
-  options.threads = config.threads;
   MonitoringProxy proxy(&problem, &*network, policy.get(), spec.mode,
                         options);
   return proxy.Run();
@@ -198,7 +197,6 @@ Status ExperimentRunner::RunRepetition(
     OnlineExecutor executor(&problem, policy.get(), specs[s].mode);
     executor.set_backend(config.executor_backend);
     executor.set_breaker_options(config.breaker);
-    executor.set_threads(config.threads);
     PULLMON_ASSIGN_OR_RETURN(OnlineRunResult run, executor.Run());
     out->policies[s].gc = run.completeness.GainedCompleteness();
     out->policies[s].runtime_seconds = run.elapsed_seconds;

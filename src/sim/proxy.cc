@@ -1,9 +1,8 @@
 #include "sim/proxy.h"
 
-#include <iterator>
+#include <string_view>
 #include <utility>
 
-#include "core/parallel_executor.h"
 #include "feeds/atom.h"
 #include "util/logging.h"
 
@@ -135,202 +134,6 @@ bool FeedPullSession::Probe(ResourceId resource, Chronon now) {
   return true;
 }
 
-void FeedPullSession::BeginParallelChronon(int num_workers) {
-  attempts_.clear();
-  while (lane_arenas_.size() < static_cast<std::size_t>(num_workers)) {
-    lane_arenas_.emplace_back();
-  }
-}
-
-bool FeedPullSession::DecideAttempt(ResourceId resource, Chronon now,
-                                    int token) {
-  // Identical clock/buffer maintenance to the serial Probe(): the clock
-  // advances (once per chronon in practice) and the notification item
-  // buffer resets on the first attempt of a new chronon.
-  if (plan_.has_value()) {
-    plan_->AdvanceTo(now);
-  } else {
-    network_->AdvanceTo(now);
-  }
-  if (now != fetch_chronon_) {
-    current_items_.clear();
-    fetch_chronon_ = now;
-  }
-  PULLMON_CHECK(static_cast<std::size_t>(token) == attempts_.size());
-  attempts_.emplace_back();
-  AttemptRecord& rec = attempts_.back();
-  rec.resource = resource;
-  rec.if_none_match = etags_[static_cast<std::size_t>(resource)];
-  if (!plan_.has_value()) {
-    // Fault-free fetch of a pristine WriteFeed body: it always parses,
-    // so success is known now and the fetch/parse/cache work defers to
-    // the execute phase.
-    return true;
-  }
-  auto decision = plan_->DecideProbe(resource, rec.if_none_match);
-  if (!decision.ok()) {
-    rec.decide_error = true;
-    rec.done = true;
-    return false;
-  }
-  rec.decision = *decision;
-  if (rec.decision->fault != FaultPlan::FaultKind::kNone) {
-    // Swallowed by the fault: nothing to fetch, the commit phase applies
-    // the counter.
-    rec.done = true;
-    return false;
-  }
-  rec.mangled = rec.decision->truncated || rec.decision->corrupted;
-  if (rec.mangled) {
-    // The only attempts whose success depends on the parse outcome:
-    // resolve inline on the serial arena (rare by construction — the
-    // mangling rates are fault knobs).
-    auto outcome =
-        plan_->ExecuteDecision(resource, rec.if_none_match, *rec.decision);
-    PULLMON_CHECK(outcome.ok());
-    rec.done = true;
-    return ResolveBody(&rec, outcome->fetch.not_modified,
-                       outcome->fetch.body, outcome->fetch.etag, &arena_);
-  }
-  // Clean fetch: not_modified is predicted exactly by the decision, and
-  // a modified body is pristine, so the attempt succeeds either way.
-  return true;
-}
-
-void FeedPullSession::ExecuteAttempt(int token, int worker) {
-  AttemptRecord& rec = attempts_[static_cast<std::size_t>(token)];
-  if (rec.done) return;
-  Arena* arena = &lane_arenas_[static_cast<std::size_t>(worker)];
-  bool ok = false;
-  if (plan_.has_value()) {
-    auto outcome = plan_->ExecuteDecision(rec.resource, rec.if_none_match,
-                                          *rec.decision);
-    PULLMON_CHECK(outcome.ok());
-    ok = ResolveBody(&rec, outcome->fetch.not_modified, outcome->fetch.body,
-                     outcome->fetch.etag, arena);
-  } else {
-    auto direct =
-        network_->ProbeConditionalView(rec.resource, rec.if_none_match);
-    PULLMON_CHECK(direct.ok());
-    ok = ResolveBody(&rec, direct->not_modified, direct->body, direct->etag,
-                     arena);
-  }
-  // Deferred attempts were predicted successful at decide time; the
-  // control pass (retries, breaker, captures) already ran on that
-  // prediction, so a pristine body failing to parse here would be a
-  // divergence bug, not a recoverable fault.
-  PULLMON_CHECK(ok);
-  rec.done = true;
-}
-
-bool FeedPullSession::ResolveBody(AttemptRecord* rec, bool not_modified,
-                                  std::string_view body,
-                                  std::string_view served_etag,
-                                  Arena* arena) {
-  rec->not_modified = not_modified;
-  rec->served_etag.assign(served_etag);
-  if (not_modified) return true;
-  rec->body_size = body.size();
-  if (cache_.has_value()) {
-    const FeedDocument* replay = cache_->Lookup(
-        rec->resource, served_etag, body, rec->mangled, &rec->cache_delta);
-    if (replay != nullptr) {
-      rec->cache_hit = true;
-      rec->items = replay->items;
-      return true;
-    }
-  }
-  arena->Reset();
-  auto parsed = ParseFeed(body, arena);
-  if (!parsed.ok()) {
-    rec->parse_failed = true;
-    if (cache_.has_value()) {
-      cache_->Invalidate(rec->resource, &rec->cache_delta);
-    }
-    return false;
-  }
-  const FeedDocumentView& view = **parsed;
-  if (cache_.has_value()) {
-    const FeedDocument& stored =
-        cache_->Store(rec->resource, served_etag, body, view.Materialize());
-    rec->items = stored.items;
-  } else {
-    rec->items.reserve(view.num_items);
-    for (const FeedItemView* item = view.first_item; item != nullptr;
-         item = item->next) {
-      FeedItem copy;
-      copy.guid = std::string(item->guid);
-      copy.title = std::string(item->title);
-      copy.link = std::string(item->link);
-      copy.description = std::string(item->description);
-      copy.published = item->published;
-      rec->items.push_back(std::move(copy));
-    }
-  }
-  return true;
-}
-
-void FeedPullSession::CommitAttempt(int token) {
-  AttemptRecord& rec = attempts_[static_cast<std::size_t>(token)];
-  PULLMON_CHECK(rec.done);
-  if (rec.decide_error) {
-    ++report_->parse_failures;
-    return;
-  }
-  if (rec.decision.has_value()) {
-    switch (rec.decision->fault) {
-      case FaultPlan::FaultKind::kTimeout:
-        ++report_->timeouts;
-        return;
-      case FaultPlan::FaultKind::kServerError:
-        ++report_->server_errors;
-        return;
-      case FaultPlan::FaultKind::kOutage:
-        ++report_->outage_probes;
-        return;
-      case FaultPlan::FaultKind::kNone:
-        break;
-    }
-    if (rec.mangled) ++report_->corrupt_bodies;
-  }
-  ++report_->feeds_fetched;
-  std::string& etag = etags_[static_cast<std::size_t>(rec.resource)];
-  if (rec.not_modified) {
-    ++report_->not_modified;
-    etag.assign(rec.served_etag);
-    return;
-  }
-  report_->feed_bytes += rec.body_size;
-  // The cache-stat totals are sums of per-attempt deltas either way, so
-  // merging here (in canonical attempt order) reproduces the serial
-  // counters exactly.
-  if (cache_.has_value()) cache_->MergeStats(rec.cache_delta);
-  if (rec.parse_failed) {
-    ++report_->parse_failures;
-    return;
-  }
-  etag.assign(rec.served_etag);
-  report_->items_parsed += rec.items.size();
-  current_items_.insert(current_items_.end(),
-                        std::make_move_iterator(rec.items.begin()),
-                        std::make_move_iterator(rec.items.end()));
-}
-
-ParallelProbeHooks FeedPullSession::ParallelHooks() {
-  ParallelProbeHooks hooks;
-  hooks.begin_chronon = [this](Chronon, int num_workers) {
-    BeginParallelChronon(num_workers);
-  };
-  hooks.decide = [this](ResourceId resource, Chronon now, int token) {
-    return DecideAttempt(resource, now, token);
-  };
-  hooks.execute = [this](const std::vector<int>& tokens, int worker) {
-    for (int token : tokens) ExecuteAttempt(token, worker);
-  };
-  hooks.commit = [this](int token) { CommitAttempt(token); };
-  return hooks;
-}
-
 void FeedPullSession::FinishReport() {
   if (plan_.has_value()) {
     report_->fault_stats = plan_->stats();
@@ -419,11 +222,6 @@ Result<ProxyRunReport> MonitoringProxy::Run() {
     return session.Probe(resource, now);
   });
 
-  if (options_.backend == ExecutorBackend::kParallel) {
-    executor.set_threads(options_.threads);
-    executor.set_parallel_hooks(session.ParallelHooks());
-  }
-
   executor.set_capture_callback([&](ProfileId profile,
                                     std::size_t t_interval_index,
                                     Chronon now) {
@@ -458,10 +256,6 @@ void MirrorRunCounters(ProxyRunReport* report) {
   report->budget_reclaimed = run.budget_reclaimed;
   report->open_chronons_total = run.open_chronons_total;
   report->open_chronons_by_resource = run.open_chronons_by_resource;
-  report->shard_count = run.shard_count;
-  report->shard_candidates_scored = run.shard_candidates_scored;
-  report->shard_probes_executed = run.shard_probes_executed;
-  report->shard_merge_entries = run.shard_merge_entries;
   const std::size_t total = run.completeness.total_t_intervals;
   report->gc_lost_to_faults =
       total == 0 ? 0.0

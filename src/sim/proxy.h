@@ -1,9 +1,7 @@
 #ifndef PULLMON_SIM_PROXY_H_
 #define PULLMON_SIM_PROXY_H_
 
-#include <deque>
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "core/online_executor.h"
@@ -133,17 +131,13 @@ struct ProxyRunReport {
   /// WAL records discarded by the torn-tail rule (bytes after the last
   /// intact chronon commit, or after the first corrupt record).
   std::size_t recovery_torn_tail_truncated = 0;
-  // --- Shard telemetry (zero/empty on the serial backends; mirrors
-  // --- ShardRunStats of the kParallel pipeline. A function of the
-  // --- shard map and the workload only — bit-identical across thread
-  // --- counts, so thread-invariance suites compare it in full; only
-  // --- serial-vs-parallel comparisons skip it). -----------------------
+  /// Unread in src/; only the frozen benchmark (perfbench/) writes it.
   std::size_t shard_count = 0;
-  /// Candidate EIs scored per shard, summed over chronons.
+  /// Unread in src/; only the frozen benchmark (perfbench/) writes it.
   std::vector<std::size_t> shard_candidates_scored;
-  /// Probe attempts whose resource belonged to the shard.
+  /// Unread in src/; only the frozen benchmark (perfbench/) writes it.
   std::vector<std::size_t> shard_probes_executed;
-  /// Total entries through the two-phase selection merge.
+  /// Unread in src/; only the frozen benchmark (perfbench/) writes it.
   std::size_t shard_merge_entries = 0;
   // --- Estimation telemetry (all zero under the oracle knowledge
   // --- model; mirrors EstimationStats plus the adaptive runner's own
@@ -196,9 +190,7 @@ struct ProxyOptions {
   /// store-backed FeedNetwork (Run() rejects the mismatch); the report
   /// is identical either way apart from the trace_* counters.
   TraceBackend trace_backend = TraceBackend::kInMemory;
-  /// Worker threads of the kParallel backend's execute phase; ignored
-  /// by the serial backends. The report is bit-identical at every
-  /// thread count (the thread-invariance suite enforces it).
+  /// Unread in src/; only the frozen benchmark (perfbench/) writes it.
   int threads = 1;
 };
 
@@ -231,44 +223,6 @@ class FeedPullSession {
   /// document (the EI stays a candidate), true otherwise.
   bool Probe(ResourceId resource, Chronon now);
 
-  // --- Three-phase probe pipeline (ExecutorBackend::kParallel;
-  // --- ParallelProbeHooks in core/parallel_executor.h, DESIGN.md
-  // --- section 16). Splits Probe() so the data-plane work runs
-  // --- concurrently while every order-sensitive effect stays serial.
-  // --- The committed counters, validators, cache state, and item
-  // --- buffer are bit-identical to the serial Probe() sequence. -------
-
-  /// Serial, before the first decide of a chronon: clears the attempt
-  /// records and sizes one parse arena per worker lane.
-  void BeginParallelChronon(int num_workers);
-
-  /// Serial, in canonical attempt order. Advances the network/fault
-  /// clock, snapshots the resource's validator, draws the attempt's
-  /// fate from the fault stream, and returns the success the serial
-  /// Probe() would report. Fault-free pristine fetches defer their
-  /// fetch/parse/cache work to ExecuteAttempt; faulted or mangled
-  /// attempts (whose success depends on the parse outcome) resolve
-  /// inline here — both rare by construction. `token` must be dense
-  /// and increasing per chronon.
-  bool DecideAttempt(ResourceId resource, Chronon now, int token);
-
-  /// Parallel: performs the deferred fetch + parse + cache work of one
-  /// attempt on the given worker lane. Safe concurrently across lanes
-  /// because the executor routes all attempts of one resource shard to
-  /// one lane: per-resource server buffers, validators, and cache
-  /// entries are touched by exactly one thread, and cache stats go to
-  /// a per-attempt delta merged at commit.
-  void ExecuteAttempt(int token, int worker);
-
-  /// Serial, in canonical order: applies the attempt's report counters,
-  /// validator update, cache-stat delta, and item delivery — the exact
-  /// effect sequence of the serial Probe().
-  void CommitAttempt(int token);
-
-  /// The four ParallelProbeHooks wired to the methods above; the
-  /// session must outlive the hooks.
-  ParallelProbeHooks ParallelHooks();
-
   /// Chronon of the most recent successful fetch batch.
   Chronon fetch_chronon() const { return fetch_chronon_; }
   /// Items pulled during the current chronon (notification payload).
@@ -290,41 +244,6 @@ class FeedPullSession {
   Status Restore(const PullSessionImage& image);
 
  private:
-  /// Everything one decided probe attempt carries between the three
-  /// phases. Filled by DecideAttempt/ExecuteAttempt, consumed by
-  /// CommitAttempt.
-  struct AttemptRecord {
-    ResourceId resource = -1;
-    /// Validator snapshot at decide time (failed attempts never update
-    /// validators, so within-chronon retries see the same snapshot the
-    /// serial path would).
-    std::string if_none_match;
-    std::optional<FaultPlan::ProbeDecision> decision;
-    /// The plan/network refused the probe outright (counts as a parse
-    /// failure, like the serial path).
-    bool decide_error = false;
-    /// Fully resolved at decide time; ExecuteAttempt skips it.
-    bool done = false;
-    bool mangled = false;
-    bool not_modified = false;
-    bool cache_hit = false;
-    bool parse_failed = false;
-    std::string served_etag;
-    std::size_t body_size = 0;
-    /// Materialized items of this attempt (cache replay or parse).
-    std::vector<FeedItem> items;
-    /// Cache-stat mutations of this attempt, merged serially at commit.
-    ParseCacheStats cache_delta;
-  };
-
-  /// Consumes a fault-free fetched response into `rec` (cache lookup,
-  /// parse into `arena`, item materialization) — everything except the
-  /// report counters, which CommitAttempt applies in canonical order.
-  /// Returns the success the serial Probe() would report.
-  bool ResolveBody(AttemptRecord* rec, bool not_modified,
-                   std::string_view body, std::string_view served_etag,
-                   Arena* arena);
-
   FeedNetwork* network_;
   ProxyRunReport* report_;
   std::optional<FaultPlan> plan_;
@@ -336,13 +255,9 @@ class FeedPullSession {
   /// The probe hot path parses into one arena, Reset() per document.
   Arena arena_;
   std::optional<ParseCache> cache_;
-  /// Attempt records of the current chronon, indexed by token.
-  std::vector<AttemptRecord> attempts_;
-  /// One parse arena per worker lane (deque: Arena is pinned in place).
-  std::deque<Arena> lane_arenas_;
 };
 
-/// Mirrors report->run's probe-path, health, and shard counters into the
+/// Mirrors report->run's probe-path and health counters into the
 /// report's own fields and derives gc_lost_to_faults against the run's
 /// completeness denominator — shared by every runner that fills a
 /// ProxyRunReport, so their reports compare field for field.

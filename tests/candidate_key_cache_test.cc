@@ -8,10 +8,9 @@
 // cache-eligible policy x P/NP x {clean, faults+retries+breaker} x
 // churn streams (submit/cancel/edit/unregister, including cancels that
 // lower a profile's rank) x a mid-epoch Capture/Restore, compared step
-// by step, plus the static OnlineExecutor and ParallelExecutor paths.
+// by step, plus the static OnlineExecutor path.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -24,7 +23,6 @@
 #include "core/candidate_index.h"
 #include "core/dynamic_monitor.h"
 #include "core/online_executor.h"
-#include "core/parallel_executor.h"
 #include "policies/policy_factory.h"
 #include "test_instances.h"
 #include "util/random.h"
@@ -34,8 +32,7 @@ namespace {
 
 /// Forwards every call to `base` and counts Score() calls, declaring
 /// `now`-independence only when told to. With `cache` false it is the
-/// rescan twin of the same policy. The counter is atomic because the
-/// parallel executor scores shards concurrently.
+/// rescan twin of the same policy.
 class ForwardingPolicy : public Policy {
  public:
   ForwardingPolicy(std::unique_ptr<Policy> base, bool cache)
@@ -48,7 +45,7 @@ class ForwardingPolicy : public Policy {
   }
   double Score(const ExecutionInterval& ei, const TIntervalRuntime& parent,
                int ei_index, Chronon now) override {
-    calls_.fetch_add(1, std::memory_order_relaxed);
+    ++calls_;
     return base_->Score(ei, parent, ei_index, now);
   }
   void Reset() override { base_->Reset(); }
@@ -56,12 +53,12 @@ class ForwardingPolicy : public Policy {
     base_->AttachHealth(health);
   }
 
-  std::size_t calls() const { return calls_.load(); }
+  std::size_t calls() const { return calls_; }
 
  private:
   std::unique_ptr<Policy> base_;
   bool cache_;
-  std::atomic<std::size_t> calls_{0};
+  std::size_t calls_ = 0;
 };
 
 /// Test-only `now`-independent policy whose score reads every parent
@@ -465,7 +462,7 @@ TEST(CandidateKeyCacheTest, ChurnMatchesRescanTwinStepByStep) {
   EXPECT_LT(cached_calls, twin_calls);
 }
 
-// --- Static problems: OnlineExecutor and ParallelExecutor. -------------
+// --- Static problems: OnlineExecutor. ------------------------------------
 
 struct StaticOutcome {
   std::vector<std::vector<ResourceId>> probes_by_chronon;
@@ -478,7 +475,6 @@ struct StaticOutcome {
   std::size_t t_intervals_failed = 0;
   std::size_t t_intervals_lost_to_faults = 0;
   std::size_t probes_suppressed = 0;
-  std::vector<std::size_t> shard_candidates_scored;
   std::size_t score_calls = 0;
 
   bool operator==(const StaticOutcome& other) const {
@@ -492,19 +488,15 @@ struct StaticOutcome {
            t_intervals_completed == other.t_intervals_completed &&
            t_intervals_failed == other.t_intervals_failed &&
            t_intervals_lost_to_faults == other.t_intervals_lost_to_faults &&
-           probes_suppressed == other.probes_suppressed &&
-           shard_candidates_scored == other.shard_candidates_scored;
+           probes_suppressed == other.probes_suppressed;
   }
 };
 
 StaticOutcome RunStatic(const MonitoringProblem& problem,
                         const std::string& name, ExecutionMode mode,
-                        ExecutorBackend backend, bool faulty, bool cache,
-                        uint64_t seed) {
+                        bool faulty, bool cache, uint64_t seed) {
   auto policy = MakeTwin(name, problem.num_resources, cache);
   OnlineExecutor executor(&problem, policy.get(), mode);
-  executor.set_backend(backend);
-  executor.set_threads(2);
   const FaultConfig faults = Faults(faulty);
   if (faulty) {
     auto attempts = std::make_shared<std::map<std::pair<int, int>, int>>();
@@ -530,7 +522,6 @@ StaticOutcome RunStatic(const MonitoringProblem& problem,
   outcome.t_intervals_failed = run->t_intervals_failed;
   outcome.t_intervals_lost_to_faults = run->t_intervals_lost_to_faults;
   outcome.probes_suppressed = run->probes_suppressed;
-  outcome.shard_candidates_scored = run->shard_candidates_scored;
   outcome.score_calls = policy->calls();
   return outcome;
 }
@@ -555,21 +546,17 @@ TEST(CandidateKeyCacheTest, ExecutorsMatchRescanTwin) {
       for (ExecutionMode mode :
            {ExecutionMode::kPreemptive, ExecutionMode::kNonPreemptive}) {
         for (bool faulty : {false, true}) {
-          for (ExecutorBackend backend :
-               {ExecutorBackend::kIndexed, ExecutorBackend::kParallel}) {
-            const std::string label =
-                name + "(" + ExecutionModeToString(mode) + ") " +
-                ExecutorBackendToString(backend) +
-                (faulty ? " faulty" : " clean") + " seed " +
-                std::to_string(seed);
-            const StaticOutcome cached =
-                RunStatic(problem, name, mode, backend, faulty, true, seed);
-            const StaticOutcome twin =
-                RunStatic(problem, name, mode, backend, faulty, false, seed);
-            EXPECT_TRUE(cached == twin) << label;
-            cached_calls += cached.score_calls;
-            twin_calls += twin.score_calls;
-          }
+          const std::string label = name + "(" +
+                                    ExecutionModeToString(mode) + ") " +
+                                    (faulty ? "faulty" : "clean") +
+                                    " seed " + std::to_string(seed);
+          const StaticOutcome cached =
+              RunStatic(problem, name, mode, faulty, true, seed);
+          const StaticOutcome twin =
+              RunStatic(problem, name, mode, faulty, false, seed);
+          EXPECT_TRUE(cached == twin) << label;
+          cached_calls += cached.score_calls;
+          twin_calls += twin.score_calls;
         }
       }
     }

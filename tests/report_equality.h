@@ -23,11 +23,6 @@ struct ReportEqualityOptions {
   bool parse_cache_stats = true;
   /// Compare trace_* (off for in-memory vs paged suites).
   bool trace_stats = true;
-  /// Compare shard_* (off for serial-vs-parallel suites: only the
-  /// parallel backend shards, so the block is legitimately absent on
-  /// one side. Thread-invariance suites keep it ON — shard telemetry is
-  /// a function of the shard map and workload, never the thread count).
-  bool shard_stats = true;
 };
 
 /// Field-level full equality of two ProxyRunReports: the probe
@@ -117,14 +112,6 @@ inline void ExpectProxyReportsEqual(const ProxyRunReport& a,
   PULLMON_REPORT_FIELD_EQ(churn_unregistered_profiles);
   PULLMON_REPORT_FIELD_EQ(churn_rejected_ops);
   PULLMON_REPORT_FIELD_EQ(orphaned_probes);
-
-  // The shard telemetry of the parallel pipeline.
-  if (options.shard_stats) {
-    PULLMON_REPORT_FIELD_EQ(shard_count);
-    PULLMON_REPORT_FIELD_EQ(shard_candidates_scored);
-    PULLMON_REPORT_FIELD_EQ(shard_probes_executed);
-    PULLMON_REPORT_FIELD_EQ(shard_merge_entries);
-  }
 
   // The estimation telemetry (all zero under the oracle knowledge
   // model).

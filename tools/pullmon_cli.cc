@@ -89,11 +89,7 @@ void AddConfigFlags(FlagParser* flags) {
                  "path (proxy runs)");
   flags->AddString("executor", "indexed",
                    "scheduling backend: indexed (incremental candidate "
-                   "index) | reference (scan-based oracle) | parallel "
-                   "(sharded multi-threaded pipeline)");
-  flags->AddInt64("threads", 1,
-                  "worker threads of the parallel executor (results are "
-                  "bit-identical at every thread count)");
+                   "index) | reference (scan-based oracle)");
   flags->AddBool("trace-store", false,
                  "generate and replay the trace through the paged "
                  "compressed trace store instead of in memory "
@@ -182,10 +178,8 @@ Result<ExecutorBackend> BackendFromFlags(const FlagParser& flags) {
   std::string name = ToLower(flags.GetString("executor"));
   if (name == "indexed") return ExecutorBackend::kIndexed;
   if (name == "reference") return ExecutorBackend::kReference;
-  if (name == "parallel") return ExecutorBackend::kParallel;
-  return Status::InvalidArgument(
-      "unknown --executor backend '" + name +
-      "' (expected: indexed | reference | parallel)");
+  return Status::InvalidArgument("unknown --executor backend '" + name +
+                                 "' (expected: indexed | reference)");
 }
 
 SimulationConfig ConfigFromFlags(const FlagParser& flags) {
@@ -259,7 +253,6 @@ SimulationConfig ConfigFromFlags(const FlagParser& flags) {
   auto backend = BackendFromFlags(flags);
   config.executor_backend =
       backend.ok() ? *backend : ExecutorBackend::kIndexed;
-  config.threads = static_cast<int>(flags.GetInt64("threads"));
   auto knowledge = KnowledgeFromFlags(flags);
   config.knowledge =
       knowledge.ok() ? *knowledge : KnowledgeModel::kOracle;
